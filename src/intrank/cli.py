@@ -39,6 +39,14 @@ class _Parser(argparse.ArgumentParser):
 # -- document I/O -----------------------------------------------------------
 
 def format_poset_document(p: Poset) -> str:
+    """The cover relation as a document that parse_poset_document reads back.
+
+    Raises InvalidDocument for a label the format cannot carry: one that is
+    empty, contains whitespace, starts with '#' or 'elements:', or is '<'.
+    """
+    for name in p.labels:
+        if name.split() != [name] or name == "<" or name.startswith(("#", "elements:")):
+            raise InvalidDocument(f"label {name!r} cannot be written to a poset document")
     lines = ["# poset document", "elements: " + " ".join(p.labels)]
     for a, b in sorted(p.covers().pairs):
         lines.append(f"{p.labels[a]} < {p.labels[b]}")
@@ -83,7 +91,9 @@ def parse_matrix_document(text: str) -> Poset:
                 if line.strip() and not line.strip().startswith("#")]
     entries = []
     for line in rows_txt:
-        cells = line.split() if " " in line else list(line)
+        cells = line.split()
+        if len(cells) == 1:
+            cells = list(line)
         if any(c not in ("0", "1") for c in cells):
             raise InvalidDocument(f"matrix entries must be 0/1, got {line!r}")
         entries.append([int(c) for c in cells])

@@ -231,20 +231,23 @@ class Poset:
         """All inclusion-maximal chains, each listed bottom to top."""
         chains: list[tuple[int, ...]] = []
         succ = self.cover_rows
-
-        def walk(path: list[int]) -> None:
-            nxt = succ[path[-1]]
-            if not nxt:
-                chains.append(tuple(path))
-                return
-            for j in _bits(nxt):
-                path.append(j)
-                walk(path)
-                path.pop()
-
         for start in range(self.n):
-            if not self.strict_down_rows[start]:
-                walk([start])
+            if self.strict_down_rows[start]:
+                continue
+            # Depth-first over covers, lowest index first; pending[i] holds
+            # the covers of path[i] not yet walked.
+            path = [start]
+            pending = [_bits(succ[start])]
+            while pending:
+                j = next(pending[-1], None)
+                if j is not None:
+                    path.append(j)
+                    pending.append(_bits(succ[j]))
+                    continue
+                if not succ[path[-1]]:
+                    chains.append(tuple(path))
+                path.pop()
+                pending.pop()
         return chains
 
     def spindle_chains(self) -> list[tuple[int, ...]]:

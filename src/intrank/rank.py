@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import CapExceeded, RangeError, TooSmall, UnboundedError
 from .intervals import IntInterval, IntervalOrder
-from .poset import Poset
+from .poset import Poset, _bits
 
 
 @dataclass(frozen=True)
@@ -120,38 +120,70 @@ class RankPoset:
         raise LookupError(f"element {element} not in any block")
 
 
-def _image(p: Poset, ranks: tuple[IntInterval, ...], order: IntervalOrder,
-           sort_key) -> RankPoset:
-    distinct = sorted(set(ranks), key=sort_key)
+def _dominance_rows(keys: list[tuple[int, int]]) -> list[int]:
+    """Bit j of rows[i] is set iff keys[j] <= keys[i] in both coordinates.
+
+    `keys` must be distinct and sorted in descending order. Then the keys
+    whose first coordinate is at most that of keys[i] are a suffix, from the
+    first index sharing keys[i]'s first coordinate; the keys whose second
+    coordinate is at most keys[i]'s are one prefix-OR mask over the sorted
+    second coordinates. A row is the AND of the two masks.
+    """
+    below: dict[int, int] = {}
+    seen = 0
+    for j in sorted(range(len(keys)), key=lambda j: keys[j][1]):
+        seen |= 1 << j
+        below[keys[j][1]] = seen
+    full = (1 << len(keys)) - 1
     rows = []
-    for x in distinct:
-        m = 0
-        for j, y in enumerate(distinct):
-            if order.leq(x, y):
-                m |= 1 << j
-        rows.append(m)
-    blocks = tuple(tuple(a for a in range(p.n) if ranks[a] == iv)
-                   for iv in distinct)
-    image = Poset(rows, tuple(str(iv) for iv in distinct))
-    return RankPoset(tuple(distinct), image, blocks)
+    start = 0
+    for i, (a, b) in enumerate(keys):
+        if a != keys[start][0]:
+            start = i
+        rows.append(full >> start << start & below[b])
+    return rows
+
+
+def _image(keys: list[tuple[int, int]], hi_sign: int) -> RankPoset:
+    # keys[a] is (lo, hi_sign * hi) for element a's rank; the image order is
+    # two-sided dominance of keys, listed in descending key order.
+    groups: dict[tuple[int, int], list[int]] = {}
+    for a, key in enumerate(keys):
+        groups.setdefault(key, []).append(a)
+    distinct = sorted(groups, reverse=True)
+    intervals = tuple(IntInterval(lo, hi_sign * b) for lo, b in distinct)
+    image = Poset(_dominance_rows(distinct), tuple(str(iv) for iv in intervals))
+    return RankPoset(intervals, image, tuple(tuple(groups[key]) for key in distinct))
 
 
 def rank_image(p: Poset) -> RankPoset:
     """Collapse elements sharing a standard rank; order images dual-weakly.
 
     The interval list is sorted descending by (lo, hi), a linear extension
-    of the image order that starts at the image of the bottom element.
+    of the image order that starts at the image of the bottom element. In
+    that order x <= y (y.lo <= x.lo and y.hi <= x.hi) is two-sided dominance
+    of (lo, hi) keys, so each image row is built by one sorted sweep: the
+    intervals with y.lo <= x.lo are a suffix of the list, and those with
+    y.hi <= x.hi are a prefix-OR mask over the sorted upper ends.
     """
-    ra = standard_rank(p)
-    return _image(p, ra.ranks, IntervalOrder.DUAL_WEAK,
-                  lambda iv: (-iv.lo, -iv.hi))
+    _require_rankable(p)
+    h = p.height()
+    up, down = p.up_heights, p.down_heights
+    return _image([(up[a] - 1, h - down[a]) for a in range(p.n)], 1)
 
 
 def conjugate_image(p: Poset) -> RankPoset:
-    """Collapse elements sharing a conjugate rank; order images by containment."""
-    ra = conjugate_rank(p)
-    return _image(p, ra.ranks, IntervalOrder.SUBSET,
-                  lambda iv: (-iv.lo, iv.hi))
+    """Collapse elements sharing a conjugate rank; order images by containment.
+
+    The interval list is sorted by (-lo, hi). Keyed by (lo, -hi), that is
+    descending key order, and containment x <= y (y.lo <= x.lo and
+    x.hi <= y.hi) is the same two-sided dominance of keys that rank_image
+    sweeps.
+    """
+    _require_rankable(p)
+    h = p.height()
+    up, down = p.up_heights, p.down_heights
+    return _image([(up[a] - 1, 2 - h - down[a]) for a in range(p.n)], -1)
 
 
 def rank_all(p: Poset) -> Poset:
@@ -161,14 +193,15 @@ def rank_all(p: Poset) -> Poset:
     standard rank of b in both endpoints-at-least senses (dual-weak).
     Labels are preserved; the result always extends the original order.
     """
-    ra = standard_rank(p)
-    rows = []
-    for a in range(p.n):
-        m = 1 << a
-        for b in range(p.n):
-            if a != b and IntervalOrder.DUAL_WEAK.lt(ra.ranks[a], ra.ranks[b]):
-                m |= 1 << b
-        rows.append(m)
+    rp = rank_image(p)
+    masks = [sum(1 << a for a in blk) for blk in rp.blocks]
+    rows = [0] * p.n
+    for i, blk in enumerate(rp.blocks):
+        above = 0
+        for j in _bits(rp.order.strict_rows[i]):
+            above |= masks[j]
+        for a in blk:
+            rows[a] = above | 1 << a
     return Poset(rows, p.labels)
 
 
@@ -217,7 +250,7 @@ def iterate_to_chain(p: Poset) -> IterationTrace:
             raise CapExceeded(f"no chain after {p.n} iterations")
         rp = rank_image(current)
         stages.append(rp)
-        owner: dict[int, int] = {}
+        owner = [0] * current.n
         for bi, blk in enumerate(rp.blocks):
             for e in blk:
                 owner[e] = bi

@@ -7,7 +7,7 @@ written independently of the package internals it checks.
 
 from itertools import product
 
-from intrank import IntInterval, Poset
+from intrank import IntInterval, IntervalOrder, Poset, RankPoset, conjugate_rank, standard_rank
 
 
 def closure_pairs(n, pairs):
@@ -258,3 +258,60 @@ def upper_triangle_posets(n: int):
     for bits in product((0, 1), repeat=len(slots)):
         gens = [pair for pair, b in zip(slots, bits) if b]
         yield Poset.from_relation(n, gens)
+
+
+# The rank-image orders compared pair by pair, and the listing order of the
+# distinct ranks under each.
+_IMAGE_ORDERS = {
+    "dual-weak": (standard_rank, lambda iv: (-iv.lo, -iv.hi)),
+    "subset": (conjugate_rank, lambda iv: (-iv.lo, iv.hi)),
+}
+
+
+def brute_rank_image(p: Poset, order: str) -> RankPoset:
+    """rank_image ("dual-weak") or conjugate_image ("subset"), by k^2 pairwise
+    interval comparisons and a scan of every element per block."""
+    rank, sort_key = _IMAGE_ORDERS[order]
+    relation = IntervalOrder(order)
+    ranks = rank(p).ranks
+    distinct = sorted(set(ranks), key=sort_key)
+    rows = []
+    for x in distinct:
+        m = 0
+        for j, y in enumerate(distinct):
+            if relation.leq(x, y):
+                m |= 1 << j
+        rows.append(m)
+    blocks = tuple(tuple(a for a in range(p.n) if ranks[a] == iv)
+                   for iv in distinct)
+    image = Poset(rows, tuple(str(iv) for iv in distinct))
+    return RankPoset(tuple(distinct), image, blocks)
+
+
+def brute_rank_all(p: Poset) -> Poset:
+    """rank_all by n^2 strict dual-weak comparisons of standard ranks."""
+    ranks = standard_rank(p).ranks
+    rows = []
+    for a in range(p.n):
+        m = 1 << a
+        for b in range(p.n):
+            if a != b and IntervalOrder.DUAL_WEAK.lt(ranks[a], ranks[b]):
+                m |= 1 << b
+        rows.append(m)
+    return Poset(rows, p.labels)
+
+
+def brute_preorder_levels(p: Poset) -> tuple:
+    """iterate_to_chain's preorder levels, iterating brute_rank_image and
+    following each element through the blocks it falls in."""
+    member = list(range(p.n))
+    current = p
+    while not current.is_chain():
+        rp = brute_rank_image(current, "dual-weak")
+        member = [next(i for i, blk in enumerate(rp.blocks) if e in blk)
+                  for e in member]
+        current = rp.order
+    # a chain lists its top first when sorted by up-set size
+    top_first = sorted(range(current.n), key=lambda i: current.rows[i].bit_count())
+    return tuple(tuple(a for a in range(p.n) if member[a] == lvl)
+                 for lvl in top_first)

@@ -3,7 +3,7 @@ import os
 import pytest
 
 from conftest import chain, diamond, n5
-from intrank import Poset, cli
+from intrank import InvalidDocument, Poset, cli
 from intrank.cli import (
     format_poset_document,
     load_poset,
@@ -33,6 +33,18 @@ class TestDocumentFormat:
         for p in (chain(4), diamond(), n5()):
             q = parse_poset_document(format_poset_document(p))
             assert q == p
+
+    def test_round_trip_unusual_labels(self):
+        p = diamond()
+        for labels in (("a#", "x<", "<<", "elements"), ("é", "a:b", "-1", "[0,1]")):
+            q = Poset(p.rows, labels)
+            assert parse_poset_document(format_poset_document(q)) == q
+
+    @pytest.mark.parametrize("bad", ["#x", "a b", "a\tb", "<", "", "elements:x"])
+    def test_unwritable_label_rejected(self, bad):
+        p = Poset.from_relation(2, [(0, 1)], labels=(bad, "y"))
+        with pytest.raises(InvalidDocument, match="cannot be written"):
+            format_poset_document(p)
 
     def test_parse_named_example(self):
         p = parse_poset_document(N5_DOC)
@@ -72,7 +84,8 @@ class TestDocumentFormat:
     def test_matrix_with_and_without_spaces(self):
         dense = parse_matrix_document("110\n011\n001\n")
         spaced = parse_matrix_document("1 1 0\n0 1 1\n0 0 1\n")
-        assert dense == spaced
+        tabbed = parse_matrix_document("1\t1\t0\n0\t1\t1\n0\t0\t1\n")
+        assert dense == spaced == tabbed
         assert dense.is_chain()
 
     def test_matrix_bad_entry(self):

@@ -155,9 +155,16 @@ class TestChains:
         assert p.maximal_chains() == [(0, 1, 2, 3)]
         assert p.spindle_chains() == [(0, 1, 2, 3)]
 
-    def test_maximal_chains_against_oracle(self, free_posets_by_size):
-        for p in free_posets_by_size[5][::7]:
-            assert set(p.maximal_chains()) == oracles.brute_maximal_chains(p)
+    def test_maximal_chains_against_oracle(self, free_posets_by_size, bounded_corpus):
+        # listed in lexicographic order: minimal elements, then covers, by index
+        for p in free_posets_by_size[5][::7] + bounded_corpus:
+            assert p.maximal_chains() == sorted(oracles.brute_maximal_chains(p))
+
+    def test_long_chain_maximal_chains(self):
+        n = 1500
+        full = (1 << n) - 1
+        p = Poset([full >> i << i for i in range(n)], validate=False)
+        assert p.maximal_chains() == [tuple(range(n))]
 
     def test_bounded_chains_run_bottom_to_top(self, bounded_corpus):
         for p in bounded_corpus[:40]:

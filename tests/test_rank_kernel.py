@@ -1,0 +1,62 @@
+"""The rank-image kernel against the pairwise reference in tests/oracles.py.
+
+rank_image, conjugate_image and rank_all build their rows by a sorted
+dominance sweep; the oracles compare every pair of intervals. Both must give
+the same intervals, rows, labels and blocks, and iterate_to_chain the same
+preorder levels.
+"""
+
+import pytest
+
+from intrank import (
+    GenConfig,
+    conjugate_image,
+    iterate_to_chain,
+    random_graph_poset,
+    random_kdim_poset,
+    rank_all,
+    rank_image,
+)
+
+from oracles import brute_preorder_levels, brute_rank_all, brute_rank_image
+
+
+def assert_kernel_matches(p):
+    for image, order in ((rank_image, "dual-weak"), (conjugate_image, "subset")):
+        got, want = image(p), brute_rank_image(p, order)
+        assert got.intervals == want.intervals
+        assert got.order.rows == want.order.rows
+        assert got.order.labels == want.order.labels
+        assert got.blocks == want.blocks
+    assert rank_all(p) == brute_rank_all(p)
+    assert iterate_to_chain(p).preorder_levels == brute_preorder_levels(p)
+
+
+def random_posets():
+    out = []
+    for i in range(100):
+        n = 10 + i * 30 // 99
+        out.append(random_graph_poset(GenConfig("random-graph", n, p=0.1 + i % 5 * 0.1,
+                                                seed=i)))
+        out.append(random_kdim_poset(GenConfig("random-kdim", n, k=2 + i % 3, seed=i)))
+    return out
+
+
+def test_bounded_corpus(bounded_corpus):
+    for p in bounded_corpus:
+        assert_kernel_matches(p)
+
+
+def test_random_posets_10_to_40():
+    posets = random_posets()
+    assert len(posets) == 200
+    assert {p.n - 2 for p in posets} == set(range(10, 41))
+    for p in posets:
+        assert_kernel_matches(p)
+
+
+@pytest.mark.parametrize("n", [100, 400])
+def test_large_random_graph(n):
+    p = random_graph_poset(GenConfig("random-graph", n, p=0.1, seed=n))
+    assert rank_image(p).order.n > n // 2  # many distinct ranks, not a near-chain
+    assert_kernel_matches(p)
