@@ -13,10 +13,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 
 from .errors import BudgetExceeded, IntrankError, InvalidDocument
 from .experiments import aggregate_by, linear_fit, log_fit, run_iteration_experiment, write_records_csv
-from .generate import GenConfig, enumerate_bounded_posets, enumerate_posets, generate
+from .generate import enumerate_bounded_posets, enumerate_posets, random_corpus
 from .intervals import OrderRelationTable, all_intervals, are_conjugate, find_conjugates_of_strong, group_conjugates_by_isomorphism
 from .poset import Poset
 from .rank import conjugate_rank, iterate_to_chain, standard_rank
@@ -111,10 +112,20 @@ def load_poset(path: str, matrix: bool = False) -> Poset:
 
 
 def _write_atomic(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    # A unique temporary file beside the target, renamed over it; it is
+    # removed if the write or the rename fails. mkstemp creates it private,
+    # so it gets the mode a plain open() would have given it.
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def poset_to_dot(p: Poset, name: str = "poset") -> str:
@@ -141,11 +152,8 @@ def _cmd_gen(args) -> int:
         else:
             posets = enumerate_posets(args.n)
     else:
-        posets = []
-        for i in range(args.count):
-            cfg = GenConfig(model=args.model, n=args.n, p=args.p, k=args.k,
-                            seed=args.seed + i, add_bounds=args.bounds)
-            posets.append(generate(cfg))
+        posets = random_corpus(args.model, [args.n], args.count, p=args.p, k=args.k,
+                               seed=args.seed, add_bounds=args.bounds)
     for i, p in enumerate(posets):
         path = os.path.join(args.out, f"poset_{i:05d}.poset")
         _write_atomic(path, format_poset_document(p))

@@ -7,8 +7,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import log
 
-import numpy as np
-
 from .errors import DegenerateInput, DomainError, EmptyInput
 from .rank import average_rank_width, iterate_to_chain
 
@@ -98,22 +96,26 @@ class FitResult:
 
 
 def _ols(xs, ys, kind: str) -> FitResult:
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.shape != ys.shape:
+    # Closed-form least squares over exact rationals; floats are exact
+    # rationals too, so the only rounding is the final float() of each value.
+    xs = [Fraction(x) for x in xs]
+    ys = [Fraction(y) for y in ys]
+    if len(xs) != len(ys):
         raise ValueError("x and y lengths differ")
-    if xs.size < 2 or np.all(xs == xs[0]):
+    if len(xs) < 2 or all(x == xs[0] for x in xs):
         raise DegenerateInput("fit needs at least two distinct x values")
-    a, b = np.polyfit(xs, ys, 1)
-    residuals = ys - (a * xs + b)
-    ss_res = float(residuals @ residuals)
-    centered = ys - ys.mean()
-    ss_tot = float(centered @ centered)
-    if ss_tot == 0.0:
-        r2 = 1.0 if ss_res < 1e-12 else 0.0
-    else:
-        r2 = 1.0 - ss_res / ss_tot
-    return FitResult(kind, float(a), float(b), r2)
+    n = len(xs)
+    x_mean = sum(xs) / n
+    y_mean = sum(ys) / n
+    sxx = sum((x - x_mean) ** 2 for x in xs)
+    sxy = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+    a = sxy / sxx
+    b = y_mean - a * x_mean
+    ss_res = sum((y - (a * x + b)) ** 2 for x, y in zip(xs, ys))
+    ss_tot = sum((y - y_mean) ** 2 for y in ys)
+    # An exact fit of constant ys leaves no residual.
+    r2 = 1 - ss_res / ss_tot if ss_tot else Fraction(1)
+    return FitResult(kind, float(a), float(b), float(r2))
 
 
 def linear_fit(xs, ys) -> FitResult:
@@ -125,8 +127,7 @@ def log_fit(xs, ys) -> FitResult:
     """Least squares y = a*ln(x) + b; requires strictly positive x."""
     if any(x <= 0 for x in xs):
         raise DomainError("log fit needs strictly positive x values")
-    fit = _ols([log(x) for x in xs], ys, "logarithmic")
-    return fit
+    return _ols([log(x) for x in xs], ys, "logarithmic")
 
 
 def write_records_csv(records, path) -> None:

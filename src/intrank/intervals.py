@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import BudgetExceeded, GroundMismatch
-from .poset import Poset, check_partial_order, _bits
+from .poset import Poset, _bits
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,28 +90,22 @@ def interval_poset(ground, order: IntervalOrder | str) -> Poset:
     return Poset(rows, tuple(str(iv) for iv in ground))
 
 
-@dataclass(frozen=True)
-class OrderRelationTable:
+class OrderRelationTable(Poset):
     """An explicit partial order over a fixed tuple of intervals.
 
-    bit j of rows[i] is set iff ground[i] <= ground[j]. The constructor
-    validates the poset axioms.
+    A Poset whose labels name the intervals of `ground`: bit j of rows[i] is
+    set iff ground[i] <= ground[j]. The constructor validates the poset
+    axioms; distinct labels imply distinct ground intervals.
     """
 
-    ground: tuple[IntInterval, ...]
-    rows: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(set(self.ground)) != len(self.ground):
-            raise ValueError("ground intervals must be distinct")
-        if len(self.rows) != len(self.ground):
-            raise ValueError("row count must match ground size")
-        check_partial_order(self.rows, len(self.ground))
+    def __init__(self, ground, rows):
+        self.ground = tuple(ground)
+        super().__init__(rows, tuple(str(iv) for iv in self.ground))
 
     @classmethod
     def from_order(cls, ground, order: IntervalOrder | str) -> "OrderRelationTable":
         p = interval_poset(ground, order)
-        return cls(tuple(ground), p.rows)
+        return cls(ground, p.rows)
 
     @classmethod
     def from_strict_pairs(cls, ground, pairs) -> "OrderRelationTable":
@@ -121,21 +115,11 @@ class OrderRelationTable:
             rows[a] |= 1 << b
         return cls(ground, tuple(rows))
 
-    def __len__(self) -> int:
-        return len(self.ground)
-
-    def leq(self, i: int, j: int) -> bool:
-        return bool(self.rows[i] >> j & 1)
-
-    def comparable(self, i: int, j: int) -> bool:
-        return self.leq(i, j) or self.leq(j, i)
-
     def strict_pairs(self) -> frozenset[tuple[int, int]]:
-        return frozenset((i, j) for i in range(len(self.ground))
-                         for j in _bits(self.rows[i]) if i != j)
+        return frozenset((i, j) for i in range(self.n) for j in _bits(self.strict_rows[i]))
 
     def to_poset(self) -> Poset:
-        return Poset(self.rows, tuple(str(iv) for iv in self.ground), validate=False)
+        return self
 
 
 def _same_ground(t1: OrderRelationTable, t2: OrderRelationTable) -> None:

@@ -94,8 +94,9 @@ class Poset:
     def from_relation(cls, n: int, generators, labels=None) -> "Poset":
         """Close generator pairs reflexively and transitively.
 
-        Raises CycleError if the closure relates two distinct elements both
-        ways, and IndexError for pairs mentioning elements outside 0..n-1.
+        Raises CycleError (from the constructor's check_partial_order) if the
+        closure relates two distinct elements both ways, and IndexError for
+        pairs mentioning elements outside 0..n-1.
         """
         if n < 1:
             raise ValueError("a poset needs at least one element")
@@ -104,12 +105,7 @@ class Poset:
             if not (0 <= a < n and 0 <= b < n):
                 raise IndexError(f"pair ({a}, {b}) out of range for {n} elements")
             base[a] |= 1 << b
-        rows = tuple(_close(base, n))
-        for i in range(n):
-            for j in _bits(rows[i]):
-                if j != i and rows[j] >> i & 1:
-                    raise CycleError(f"closure forces {i} <= {j} <= {i}")
-        return cls(rows, labels, validate=False)
+        return cls(_close(base, n), labels)
 
     # -- basic queries -------------------------------------------------
 
@@ -212,19 +208,32 @@ class Poset:
         bipartite graph (minimum chain cover), via augmenting paths.
         """
         n = self.n
-        adj = [tuple(_bits(self.strict_rows[i])) for i in range(n)]
+        strict = self.strict_rows
         match_right = [-1] * n
-
-        def augment(i: int, seen: list[bool]) -> bool:
-            for j in adj[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    if match_right[j] < 0 or augment(match_right[j], seen):
-                        match_right[j] = i
-                        return True
-            return False
-
-        matched = sum(1 for i in range(n) if augment(i, [False] * n))
+        matched = 0
+        for root in range(n):
+            # Depth-first search for an augmenting path, lowest index first:
+            # path[k] is a left vertex and taken[k] the right vertex tried
+            # from it; a right vertex is tried at most once per root.
+            seen = 0
+            path = [root]
+            taken: list[int] = []
+            while path:
+                free = strict[path[-1]] & ~seen
+                if not free:
+                    path.pop()
+                    if taken:
+                        taken.pop()
+                    continue
+                j = (free & -free).bit_length() - 1
+                seen |= 1 << j
+                taken.append(j)
+                if match_right[j] < 0:
+                    for i, right in zip(path, taken):
+                        match_right[right] = i
+                    matched += 1
+                    break
+                path.append(match_right[j])
         return n - matched
 
     def maximal_chains(self) -> list[tuple[int, ...]]:
@@ -258,8 +267,7 @@ class Poset:
     def spindle_elements(self) -> tuple[int, ...]:
         """Elements lying on some maximum-size chain."""
         h = self.height()
-        return tuple(a for a in range(self.n)
-                     if self.up_heights[a] + self.down_heights[a] - 1 == h)
+        return tuple(a for a in range(self.n) if self.spindle_length(a) == h)
 
     def spindle_length(self, a: int) -> int:
         """Size of the longest chain through a."""
@@ -476,11 +484,9 @@ class SubsetView:
         mask = 0
         for e in self.members:
             mask |= 1 << e
-        strict = {e: self.parent.strict_rows[e] & mask for e in self.members}
-        heights: dict[int, int] = {}
-        for e in sorted(self.members, key=lambda x: strict[x].bit_count()):
-            heights[e] = 1 + max((heights[j] for j in _bits(strict[e])), default=0)
-        return max(heights.values(), default=0)
+        heights = self.parent._chain_heights(
+            tuple(r & mask for r in self.parent.strict_rows))
+        return max((heights[e] for e in self.members), default=0)
 
     def as_poset(self) -> Poset:
         """The induced subposet, elements renumbered in member order."""

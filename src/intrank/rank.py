@@ -36,29 +36,32 @@ def _require_rankable(p: Poset) -> None:
         raise UnboundedError("rank operators need a bottom and a top element")
 
 
-def standard_rank(p: Poset) -> RankAssignment:
-    """Assign [up_heights[a]-1, height - down_heights[a]] to each element."""
+def _endpoints(p: Poset, conjugate: bool) -> list[tuple[int, int]]:
+    # (lo, hi) of each element's standard or conjugate rank.
     _require_rankable(p)
     h = p.height()
-    ranks = tuple(IntInterval(p.up_heights[a] - 1, h - p.down_heights[a])
-                  for a in range(p.n))
-    return RankAssignment(p, ranks, h - 1)
+    up, down = p.up_heights, p.down_heights
+    if conjugate:
+        return [(up[a] - 1, h + down[a] - 2) for a in range(p.n)]
+    return [(up[a] - 1, h - down[a]) for a in range(p.n)]
+
+
+def standard_rank(p: Poset) -> RankAssignment:
+    """Assign [up_heights[a]-1, height - down_heights[a]] to each element."""
+    ranks = tuple(IntInterval(lo, hi) for lo, hi in _endpoints(p, False))
+    return RankAssignment(p, ranks, p.height() - 1)
 
 
 def conjugate_rank(p: Poset) -> RankAssignment:
     """Assign [up_heights[a]-1, height + down_heights[a] - 2] to each element."""
-    _require_rankable(p)
-    h = p.height()
-    ranks = tuple(IntInterval(p.up_heights[a] - 1, h + p.down_heights[a] - 2)
-                  for a in range(p.n))
-    return RankAssignment(p, ranks, 2 * (h - 1))
+    ranks = tuple(IntInterval(lo, hi) for lo, hi in _endpoints(p, True))
+    return RankAssignment(p, ranks, 2 * (p.height() - 1))
 
 
 def _strict_pairs(p: Poset):
     for a in range(p.n):
-        for b in range(p.n):
-            if a != b and p.leq(a, b):
-                yield a, b
+        for b in _bits(p.strict_rows[a]):
+            yield a, b
 
 
 def classify_rank_function(f: RankAssignment) -> IntervalOrder | None:
@@ -144,12 +147,12 @@ def _dominance_rows(keys: list[tuple[int, int]]) -> list[int]:
     return rows
 
 
-def _image(keys: list[tuple[int, int]], hi_sign: int) -> RankPoset:
-    # keys[a] is (lo, hi_sign * hi) for element a's rank; the image order is
+def _image(endpoints: list[tuple[int, int]], hi_sign: int) -> RankPoset:
+    # Element a's key is (lo, hi_sign * hi) of its rank; the image order is
     # two-sided dominance of keys, listed in descending key order.
     groups: dict[tuple[int, int], list[int]] = {}
-    for a, key in enumerate(keys):
-        groups.setdefault(key, []).append(a)
+    for a, (lo, hi) in enumerate(endpoints):
+        groups.setdefault((lo, hi_sign * hi), []).append(a)
     distinct = sorted(groups, reverse=True)
     intervals = tuple(IntInterval(lo, hi_sign * b) for lo, b in distinct)
     image = Poset(_dominance_rows(distinct), tuple(str(iv) for iv in intervals))
@@ -166,10 +169,7 @@ def rank_image(p: Poset) -> RankPoset:
     intervals with y.lo <= x.lo are a suffix of the list, and those with
     y.hi <= x.hi are a prefix-OR mask over the sorted upper ends.
     """
-    _require_rankable(p)
-    h = p.height()
-    up, down = p.up_heights, p.down_heights
-    return _image([(up[a] - 1, h - down[a]) for a in range(p.n)], 1)
+    return _image(_endpoints(p, False), 1)
 
 
 def conjugate_image(p: Poset) -> RankPoset:
@@ -180,10 +180,7 @@ def conjugate_image(p: Poset) -> RankPoset:
     x.hi <= y.hi) is the same two-sided dominance of keys that rank_image
     sweeps.
     """
-    _require_rankable(p)
-    h = p.height()
-    up, down = p.up_heights, p.down_heights
-    return _image([(up[a] - 1, 2 - h - down[a]) for a in range(p.n)], -1)
+    return _image(_endpoints(p, True), -1)
 
 
 def rank_all(p: Poset) -> Poset:

@@ -1,9 +1,13 @@
 import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import chain, diamond, n5
-from intrank import InvalidDocument, Poset, cli
+from intrank import InvalidDocument, Poset, cli, random_corpus
 from intrank.cli import (
     format_poset_document,
     load_poset,
@@ -39,6 +43,19 @@ class TestDocumentFormat:
         for labels in (("a#", "x<", "<<", "elements"), ("é", "a:b", "-1", "[0,1]")):
             q = Poset(p.rows, labels)
             assert parse_poset_document(format_poset_document(q)) == q
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.data())
+    def test_round_trip_property(self, data):
+        labels = data.draw(st.lists(st.text(), min_size=1, max_size=6, unique=True))
+        n = len(labels)
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+        p = Poset.from_relation(n, [(min(a, b), max(a, b)) for a, b in pairs], labels)
+        try:
+            text = format_poset_document(p)
+        except InvalidDocument:
+            assume(False)
+        assert parse_poset_document(text) == p
 
     @pytest.mark.parametrize("bad", ["#x", "a b", "a\tb", "<", "", "elements:x"])
     def test_unwritable_label_rejected(self, bad):
@@ -133,6 +150,15 @@ class TestGen:
         second = {f: (out / f).read_bytes() for f in os.listdir(out)}
         assert first == second
         assert len(first) == 4
+
+    def test_random_matches_random_corpus(self, tmp_path):
+        out = tmp_path / "k"
+        assert cli.main(["gen", "--model", "random-kdim", "--n", "7", "--k", "2",
+                         "--seed", "5", "--count", "3", "--no-bounds",
+                         "--out", str(out)]) == 0
+        expected = random_corpus("random-kdim", [7], 3, k=2, seed=5, add_bounds=False)
+        assert [(out / f"poset_{i:05d}.poset").read_text(encoding="utf-8")
+                for i in range(3)] == [format_poset_document(p) for p in expected]
 
     def test_budget_exit(self, tmp_path, capsys):
         code = cli.main(["gen", "--model", "exhaustive", "--n", "12",
@@ -333,3 +359,29 @@ def test_document_format_self_describing(tmp_path):
     path = tmp_path / "x.poset"
     write(path, format_poset_document(p))
     assert load_poset(str(path)) == p
+
+
+class TestWriteAtomic:
+    def test_failed_rename_leaves_nothing(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename refused"):
+            cli._write_atomic(str(tmp_path / "out.poset"), "text\n")
+        assert os.listdir(tmp_path) == []
+
+    def test_file_gets_plain_open_mode(self, tmp_path):
+        cli._write_atomic(str(tmp_path / "a.poset"), "text\n")
+        with open(tmp_path / "b.poset", "w", encoding="utf-8"):
+            pass
+        assert (tmp_path / "a.poset").read_text(encoding="utf-8") == "text\n"
+        assert (tmp_path / "a.poset").stat().st_mode == (tmp_path / "b.poset").stat().st_mode
+        assert sorted(os.listdir(tmp_path)) == ["a.poset", "b.poset"]
+
+
+def test_import_does_not_load_numpy():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = "import sys, intrank, intrank.cli; assert 'numpy' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -11,6 +11,7 @@ from intrank import (
     DegenerateInput,
     DomainError,
     EmptyInput,
+    FitResult,
     IterationRecord,
     aggregate_by,
     enumerate_bounded_posets,
@@ -135,6 +136,13 @@ class TestFits:
         fit = linear_fit((1, 2, 3), (5, 5, 5))
         assert fit.a == pytest.approx(0.0, abs=1e-9)
         assert fit.r_squared == 1.0
+
+    def test_rounded_once_from_exact_values(self):
+        # a = 4/5, b = 1/2 and R^2 = 16/25 exactly, each rounded once
+        fit = linear_fit((1, 2, 3, 4), (1, 3, 2, 4))
+        assert fit == FitResult("linear", 0.8, 0.5, 0.64)
+        means = [Fraction(1), Fraction(3), Fraction(2), Fraction(4)]
+        assert linear_fit((1, 2, 3, 4), means) == fit
 
 
 class TestCsv:

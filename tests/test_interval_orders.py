@@ -126,6 +126,17 @@ class TestOrderRelationTable:
         with pytest.raises(CycleError):
             OrderRelationTable(ground, (0b11, 0b11))  # mutual relation
 
+    def test_is_its_own_poset(self):
+        ground = all_intervals(1, 3)
+        t = OrderRelationTable.from_order(ground, "weak")
+        assert t.to_poset() is t
+        assert t == interval_poset(ground, "weak")
+        assert t.labels == tuple(str(x) for x in ground)
+
+    def test_ground_must_be_distinct(self):
+        with pytest.raises(ValueError):
+            OrderRelationTable((iv(0, 1), iv(0, 1)), (0b01, 0b10))
+
     def test_strict_pairs(self):
         t = OrderRelationTable.from_strict_pairs(
             (iv(0, 0), iv(2, 2)), [(0, 1)])

@@ -99,11 +99,12 @@ class TestSubsetViews:
             p.interval(1, 2)
         assert p.interval(0, 3).element_set() == {0, 1, 2, 3}
 
-    def test_view_height_matches_induced_poset(self):
-        p = n5()
-        for a in range(p.n):
-            view = p.upset(a)
-            assert view.height() == view.as_poset().height()
+    def test_view_height_matches_induced_poset(self, bounded_corpus):
+        for p in [n5()] + bounded_corpus[::10]:
+            for a in range(p.n):
+                for view in (p.upset(a), p.downset(a), p.hourglass(a),
+                             p.interval(p.bottom, a)):
+                    assert view.height() == view.as_poset().height()
 
     def test_as_poset_keeps_labels(self):
         p = n5()
@@ -134,6 +135,17 @@ class TestHeightWidth:
             for p in free_posets_by_size[n]:
                 assert p.height() == oracles.brute_height(p)
                 assert p.width() == oracles.brute_width(p)
+
+    def test_width_of_deep_staircase(self):
+        # L_i < R_i, R_{i+1} for i < k and L* < R_0: matching L* last shifts
+        # every earlier match, an augmenting path k + 1 edges long.
+        k = 1200
+        rows = [1 << i | 1 << (k + 1 + i) | 1 << (k + 2 + i) for i in range(k)]
+        rows.append(1 << k | 1 << (k + 1))
+        rows += [1 << (k + 1 + i) for i in range(k + 1)]
+        p = Poset(rows)
+        assert p.n == 2402 and p.height() == 2
+        assert p.width() == 1201
 
 
 class TestChains:
