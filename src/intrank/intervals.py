@@ -73,11 +73,10 @@ def all_intervals(lo_min: int, hi_max: int) -> list[IntInterval]:
             for b in range(a, hi_max + 1)]
 
 
-def interval_poset(ground, order: IntervalOrder | str) -> Poset:
-    """The poset a given interval order induces on a ground set."""
+def _interval_rows(ground: tuple[IntInterval, ...], order: IntervalOrder | str) -> list[int]:
+    # Bit j of rows[i] is set iff ground[i] <= ground[j] in the order.
     if not isinstance(order, IntervalOrder):
         order = IntervalOrder(order)
-    ground = tuple(ground)
     if len(set(ground)) != len(ground):
         raise ValueError("ground intervals must be distinct")
     rows = []
@@ -87,7 +86,13 @@ def interval_poset(ground, order: IntervalOrder | str) -> Poset:
             if order.leq(x, y):
                 m |= 1 << j
         rows.append(m)
-    return Poset(rows, tuple(str(iv) for iv in ground))
+    return rows
+
+
+def interval_poset(ground, order: IntervalOrder | str) -> Poset:
+    """The poset a given interval order induces on a ground set."""
+    ground = tuple(ground)
+    return Poset(_interval_rows(ground, order), tuple(str(iv) for iv in ground))
 
 
 class OrderRelationTable(Poset):
@@ -104,8 +109,8 @@ class OrderRelationTable(Poset):
 
     @classmethod
     def from_order(cls, ground, order: IntervalOrder | str) -> "OrderRelationTable":
-        p = interval_poset(ground, order)
-        return cls(ground, p.rows)
+        ground = tuple(ground)
+        return cls(ground, _interval_rows(ground, order))
 
     @classmethod
     def from_strict_pairs(cls, ground, pairs) -> "OrderRelationTable":

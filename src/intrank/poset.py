@@ -38,14 +38,28 @@ def _close(rows: list[int], n: int) -> list[int]:
 
 
 def check_partial_order(rows: tuple[int, ...], n: int) -> None:
-    """Raise if rows are not a reflexive, antisymmetric, transitive relation."""
+    """Raise if rows are not a reflexive, antisymmetric, transitive relation.
+
+    Runs all three checks, element by element in index order and over each
+    row's bits from the lowest: ValueError at the first element that is not
+    reflexive, CycleError at the first pair related both ways, ValueError at
+    the first pair where transitivity fails.
+    """
     for i in range(n):
-        if not rows[i] >> i & 1:
+        row = rows[i]
+        bit = 1 << i
+        if not row & bit:
             raise ValueError(f"relation is not reflexive at element {i}")
-        for j in _bits(rows[i]):
-            if j != i and rows[j] >> i & 1:
+        outside = ~row
+        m = row ^ bit  # j == i can fail neither test
+        while m:
+            low = m & -m
+            m ^= low
+            j = low.bit_length() - 1
+            up = rows[j]
+            if up & bit:
                 raise CycleError(f"elements {i} and {j} are mutually related")
-            if rows[j] & ~rows[i]:
+            if up & outside:
                 raise ValueError(f"relation is not transitive at ({i}, {j})")
 
 
@@ -94,9 +108,12 @@ class Poset:
     def from_relation(cls, n: int, generators, labels=None) -> "Poset":
         """Close generator pairs reflexively and transitively.
 
-        Raises CycleError (from the constructor's check_partial_order) if the
-        closure relates two distinct elements both ways, and IndexError for
-        pairs mentioning elements outside 0..n-1.
+        The closed rows are reflexive and transitive by construction, so the
+        only check left is antisymmetry, which holds exactly when the n rows
+        are distinct. Distinct rows are not checked again; otherwise the
+        constructor's check_partial_order raises CycleError for the first
+        pair related both ways. Raises IndexError for pairs mentioning
+        elements outside 0..n-1.
         """
         if n < 1:
             raise ValueError("a poset needs at least one element")
@@ -105,7 +122,8 @@ class Poset:
             if not (0 <= a < n and 0 <= b < n):
                 raise IndexError(f"pair ({a}, {b}) out of range for {n} elements")
             base[a] |= 1 << b
-        return cls(_close(base, n), labels)
+        rows = _close(base, n)
+        return cls(rows, labels, validate=len(set(rows)) < n)
 
     # -- basic queries -------------------------------------------------
 
@@ -145,9 +163,12 @@ class Poset:
     @cached_property
     def down_rows(self) -> tuple[int, ...]:
         down = [0] * self.n
-        for i in range(self.n):
-            for j in _bits(self.rows[i]):
-                down[j] |= 1 << i
+        for i, m in enumerate(self.rows):
+            bit = 1 << i
+            while m:
+                low = m & -m
+                m ^= low
+                down[low.bit_length() - 1] |= bit
         return tuple(down)
 
     @cached_property
@@ -176,15 +197,22 @@ class Poset:
     def _chain_heights(self, strict: tuple[int, ...]) -> tuple[int, ...]:
         # Longest chain starting at each element, following `strict` edges.
         # If i relates to j then j's strict set is properly contained in
-        # i's, so ascending popcount is a valid evaluation order.
+        # i's, so ascending popcount is a valid evaluation order. levels[h]
+        # masks the elements given height h + 1 so far; an element gets one
+        # more than the highest level its strict set meets.
         n = self.n
         heights = [1] * n
-        for i in sorted(range(n), key=lambda e: strict[e].bit_count()):
-            best = 0
-            for j in _bits(strict[i]):
-                if heights[j] > best:
-                    best = heights[j]
-            heights[i] = best + 1
+        levels: list[int] = []
+        sizes = [r.bit_count() for r in strict]
+        for i in sorted(range(n), key=sizes.__getitem__):
+            s = strict[i]
+            h = len(levels)
+            while h and not levels[h - 1] & s:
+                h -= 1
+            if h == len(levels):
+                levels.append(0)
+            levels[h] |= 1 << i
+            heights[i] = h + 1
         return tuple(heights)
 
     @cached_property
@@ -295,8 +323,9 @@ class Poset:
         return self.bottom is not None and self.top is not None
 
     def is_chain(self) -> bool:
-        full = (1 << self.n) - 1
-        return all(self.rows[i] | self.down_rows[i] == full for i in range(self.n))
+        # A partial order is a chain exactly when its n up-set sizes are
+        # distinct (by induction on the bottom element).
+        return len({r.bit_count() for r in self.rows}) == self.n
 
     def is_graded(self) -> bool:
         """True iff chain distance from the top decrements along every cover.

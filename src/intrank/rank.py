@@ -123,28 +123,38 @@ class RankPoset:
         raise LookupError(f"element {element} not in any block")
 
 
-def _dominance_rows(keys: list[tuple[int, int]]) -> list[int]:
-    """Bit j of rows[i] is set iff keys[j] <= keys[i] in both coordinates.
+def _dominance_rows(keys: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """Up rows and down rows of two-sided dominance over keys.
 
-    `keys` must be distinct and sorted in descending order. Then the keys
-    whose first coordinate is at most that of keys[i] are a suffix, from the
-    first index sharing keys[i]'s first coordinate; the keys whose second
-    coordinate is at most keys[i]'s are one prefix-OR mask over the sorted
-    second coordinates. A row is the AND of the two masks.
+    Bit j of up[i] is set iff keys[j] <= keys[i] in both coordinates, and
+    bit j of down[i] iff keys[i] <= keys[j]. `keys` must be distinct and
+    sorted in descending order. Then the keys whose first coordinate is at
+    most that of keys[i] are a suffix, from the first index sharing keys[i]'s
+    first coordinate, and those whose first coordinate is at least keys[i]'s
+    are the mirror prefix, up to the last such index. The keys whose second
+    coordinate is at most (at least) keys[i]'s are one prefix-OR (suffix-OR)
+    mask over the sorted second coordinates. A row is the AND of two masks.
     """
+    by_second = sorted(range(len(keys)), key=lambda j: keys[j][1])
     below: dict[int, int] = {}
     seen = 0
-    for j in sorted(range(len(keys)), key=lambda j: keys[j][1]):
+    for j in by_second:
         seen |= 1 << j
         below[keys[j][1]] = seen
+    above: dict[int, int] = {}
+    seen = 0
+    for j in reversed(by_second):
+        seen |= 1 << j
+        above[keys[j][1]] = seen
+    start: dict[int, int] = {}
+    end: dict[int, int] = {}
+    for i, (a, _) in enumerate(keys):
+        start.setdefault(a, i)
+        end[a] = i + 1
     full = (1 << len(keys)) - 1
-    rows = []
-    start = 0
-    for i, (a, b) in enumerate(keys):
-        if a != keys[start][0]:
-            start = i
-        rows.append(full >> start << start & below[b])
-    return rows
+    up = [full >> start[a] << start[a] & below[b] for a, b in keys]
+    down = [((1 << end[a]) - 1) & above[b] for a, b in keys]
+    return up, down
 
 
 def _image(endpoints: list[tuple[int, int]], hi_sign: int) -> RankPoset:
@@ -155,7 +165,10 @@ def _image(endpoints: list[tuple[int, int]], hi_sign: int) -> RankPoset:
         groups.setdefault((lo, hi_sign * hi), []).append(a)
     distinct = sorted(groups, reverse=True)
     intervals = tuple(IntInterval(lo, hi_sign * b) for lo, b in distinct)
-    image = Poset(_dominance_rows(distinct), tuple(str(iv) for iv in intervals))
+    up, down = _dominance_rows(distinct)
+    image = Poset(up, tuple(str(iv) for iv in intervals))
+    # The sweep already gave the transpose; prime the cached down_rows.
+    vars(image)["down_rows"] = tuple(down)
     return RankPoset(intervals, image, tuple(tuple(groups[key]) for key in distinct))
 
 
@@ -265,5 +278,4 @@ def total_preorder(p: Poset) -> tuple[tuple[int, ...], ...]:
 
 def average_rank_width(p: Poset) -> Fraction:
     """Mean standard-rank interval width, exact."""
-    ra = standard_rank(p)
-    return Fraction(sum(iv.width() for iv in ra.ranks), p.n)
+    return Fraction(sum(hi - lo for lo, hi in _endpoints(p, False)), p.n)

@@ -37,6 +37,32 @@ def brute_height(p: Poset) -> int:
     return max(longest(a) for a in range(p.n))
 
 
+def brute_heights(p: Poset) -> tuple:
+    """(up, down) chain heights per element, by recursion over p.lt: the
+    longest chain inside each element's up-set and inside its down-set."""
+    up, down = {}, {}
+
+    def longest_up(a):
+        if a not in up:
+            up[a] = 1 + max((longest_up(b) for b in range(p.n) if p.lt(a, b)),
+                            default=0)
+        return up[a]
+
+    def longest_down(a):
+        if a not in down:
+            down[a] = 1 + max((longest_down(b) for b in range(p.n) if p.lt(b, a)),
+                              default=0)
+        return down[a]
+
+    return (tuple(longest_up(a) for a in range(p.n)),
+            tuple(longest_down(a) for a in range(p.n)))
+
+
+def brute_is_chain(p: Poset) -> bool:
+    """Every pair of elements is comparable."""
+    return all(p.comparable(a, b) for a in range(p.n) for b in range(a + 1, p.n))
+
+
 def brute_width(p: Poset) -> int:
     """Largest antichain by checking every subset."""
     best = 0
@@ -306,7 +332,7 @@ def brute_preorder_levels(p: Poset) -> tuple:
     following each element through the blocks it falls in."""
     member = list(range(p.n))
     current = p
-    while not current.is_chain():
+    while not brute_is_chain(current):
         rp = brute_rank_image(current, "dual-weak")
         member = [next(i for i, blk in enumerate(rp.blocks) if e in blk)
                   for e in member]

@@ -120,6 +120,15 @@ class TestOrderRelationTable:
             for j, y in enumerate(ground):
                 assert t.leq(i, j) == leq_strong(x, y)
 
+    def test_from_order_validates_once(self, monkeypatch):
+        import intrank.poset
+        calls = []
+        check = intrank.poset.check_partial_order
+        monkeypatch.setattr(intrank.poset, "check_partial_order",
+                            lambda rows, n: calls.append(n) or check(rows, n))
+        OrderRelationTable.from_order(all_intervals(0, 3), "weak")
+        assert calls == [10]
+
     def test_construction_validates(self):
         from intrank import CycleError
         ground = (iv(0, 0), iv(1, 1))

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import antichain, chain, cube3, diamond, n5
@@ -54,6 +56,56 @@ class TestFromRelation:
             check_partial_order((0b011, 0b110, 0b100), 3)  # 0<1<2 but not 0<2
         with pytest.raises(CycleError):
             check_partial_order((0b11, 0b11), 2)
+
+
+def relations(n, max_size=12):
+    """Generator pairs on 0..n-1, cycles and self-loops included."""
+    return st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                    max_size=max_size)
+
+
+def pair_rows(n, pairs):
+    return tuple(sum(1 << j for i, j in pairs if i == a) for a in range(n))
+
+
+class TestValidationProperties:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.data())
+    def test_from_relation_against_closure_oracle(self, data):
+        n = data.draw(st.integers(1, 8))
+        gens = data.draw(relations(n))
+        closure = oracles.closure_pairs(n, gens)
+        if any(a != b and (b, a) in closure for a, b in closure):
+            with pytest.raises(CycleError):
+                Poset.from_relation(n, gens)
+        else:
+            assert Poset.from_relation(n, gens).rows == pair_rows(n, closure)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.data())
+    def test_check_partial_order_against_axioms(self, data):
+        # Closed relations with a few flipped pairs sit next to partial
+        # orders; raw generator sets are mostly far from them.
+        n = data.draw(st.integers(1, 8))
+        rel = set(data.draw(relations(n)))
+        if data.draw(st.booleans()):
+            rel = oracles.closure_pairs(n, rel)
+        rel ^= set(data.draw(relations(n, max_size=2)))
+        reflexive = all((a, a) in rel for a in range(n))
+        antisymmetric = not any(a != b and (b, a) in rel for a, b in rel)
+        transitive = all((a, d) in rel for a, b in rel for c, d in rel if b == c)
+        rows = pair_rows(n, rel)
+        if reflexive and antisymmetric and transitive:
+            check_partial_order(rows, n)
+        elif reflexive and transitive:
+            with pytest.raises(CycleError):
+                check_partial_order(rows, n)
+        elif antisymmetric:
+            with pytest.raises(ValueError):
+                check_partial_order(rows, n)
+        else:
+            with pytest.raises((ValueError, CycleError)):
+                check_partial_order(rows, n)
 
 
 class TestCovers:
