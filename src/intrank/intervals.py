@@ -113,6 +113,13 @@ class OrderRelationTable(Poset):
         return cls(ground, _interval_rows(ground, order))
 
     @classmethod
+    def from_relation(cls, ground, generators) -> "OrderRelationTable":
+        """Close generator index pairs over `ground`, as Poset.from_relation
+        does over 0..n-1 (CycleError for a cycle, IndexError out of range)."""
+        ground = tuple(ground)
+        return cls(ground, Poset.from_relation(len(ground), generators).rows)
+
+    @classmethod
     def from_strict_pairs(cls, ground, pairs) -> "OrderRelationTable":
         ground = tuple(ground)
         rows = [1 << i for i in range(len(ground))]
@@ -127,20 +134,19 @@ class OrderRelationTable(Poset):
         return self
 
 
-def _same_ground(t1: OrderRelationTable, t2: OrderRelationTable) -> None:
+def _comparability(t1: OrderRelationTable, t2: OrderRelationTable):
+    # Per element i, the masks of elements comparable to i (i included).
     if t1.ground != t2.ground:
         raise GroundMismatch("order tables have different ground sets")
+    return [(t1.rows[i] | t1.down_rows[i], t2.rows[i] | t2.down_rows[i])
+            for i in range(t1.n)]
 
 
 def are_conjugate(t1: OrderRelationTable, t2: OrderRelationTable) -> bool:
     """Every distinct pair comparable in exactly one of the two orders."""
-    _same_ground(t1, t2)
-    m = len(t1.ground)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if t1.comparable(i, j) == t2.comparable(i, j):
-                return False
-    return True
+    full = (1 << t1.n) - 1
+    return all(c1 ^ c2 == full ^ 1 << i
+               for i, (c1, c2) in enumerate(_comparability(t1, t2)))
 
 
 def are_pseudo_conjugate(t1: OrderRelationTable, t2: OrderRelationTable) -> bool:
@@ -148,13 +154,8 @@ def are_pseudo_conjugate(t1: OrderRelationTable, t2: OrderRelationTable) -> bool
 
     Weaker than conjugacy: pairs may be comparable in both orders.
     """
-    _same_ground(t1, t2)
-    m = len(t1.ground)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if not (t1.comparable(i, j) or t2.comparable(i, j)):
-                return False
-    return True
+    full = (1 << t1.n) - 1
+    return all(c1 | c2 == full for c1, c2 in _comparability(t1, t2))
 
 
 def find_conjugates_of_strong(lo_min: int, hi_max: int, limit: int | None = None,
@@ -175,55 +176,52 @@ def find_conjugates_of_strong(lo_min: int, hi_max: int, limit: int | None = None
     if max_ground is not None and m > max_ground:
         raise BudgetExceeded(
             f"ground of {m} intervals exceeds the search budget of {max_ground}")
+    return _orientations(ground, limit)
 
-    edge = [[False] * m for _ in range(m)]
-    edges = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            if not (ground[i].hi < ground[j].lo or ground[j].hi < ground[i].lo):
-                edge[i][j] = edge[j][i] = True
-                edges.append((i, j))
 
-    rel = [[0] * m for _ in range(m)]  # 1: row < col, -1: row > col
+def _orientations(ground: tuple[IntInterval, ...],
+                  limit: int | None) -> list[OrderRelationTable]:
+    # Transitive orientations of the overlap graph of `ground`, by
+    # backtracking over bitset rows. Pairs (a, b), a < b, are decided in
+    # lexicographic order, trying a < b before b < a.
+    m = len(ground)
+    overlap = [sum(1 << j for j, y in enumerate(ground)
+                   if j != i and not (x.hi < y.lo or y.hi < x.lo))
+               for i, x in enumerate(ground)]
+    above = [0] * m  # bit y of above[x]: x < y has been decided
     solutions: list[OrderRelationTable] = []
 
     def orient(a: int, b: int, trail: list[tuple[int, int]]) -> bool:
-        # record a < b and propagate transitivity; False on contradiction
-        stack = [(a, b)]
-        while stack:
-            x, y = stack.pop()
-            if rel[x][y] == 1:
-                continue
-            if rel[x][y] == -1 or not edge[x][y]:
-                return False
-            rel[x][y] = 1
-            rel[y][x] = -1
-            trail.append((x, y))
-            for c in range(m):
-                if rel[c][x] == 1:   # c < x < y
-                    stack.append((c, y))
-                if rel[y][c] == 1:   # x < y < c
-                    stack.append((x, c))
+        # Decide a < b for an undecided pair. The relation is transitive, so
+        # the closure of the new pair is the product of the down-set of a
+        # and the up-set of b. False if a new pair does not overlap.
+        up = above[b] | 1 << b
+        for c in range(m):
+            if c == a or above[c] >> a & 1:
+                new = up & ~above[c]
+                if new & ~overlap[c]:
+                    return False
+                above[c] |= new
+                trail.append((c, new))
         return True
 
     def dfs(start: int) -> None:
         if limit is not None and len(solutions) >= limit:
             return
-        idx = start
-        while idx < len(edges) and rel[edges[idx][0]][edges[idx][1]] != 0:
-            idx += 1
-        if idx == len(edges):
-            pairs = [(i, j) for i in range(m) for j in range(m) if rel[i][j] == 1]
-            solutions.append(OrderRelationTable.from_strict_pairs(ground, pairs))
+        pair = next(((a, b) for a in range(start, m)
+                     for b in _bits(overlap[a] & ~above[a] & -2 << a)
+                     if not above[b] >> a & 1), None)
+        if pair is None:
+            solutions.append(OrderRelationTable(
+                ground, [above[x] | 1 << x for x in range(m)]))
             return
-        a, b = edges[idx]
+        a, b = pair
         for u, v in ((a, b), (b, a)):
             trail: list[tuple[int, int]] = []
             if orient(u, v, trail):
-                dfs(idx + 1)
-            for x, y in trail:
-                rel[x][y] = 0
-                rel[y][x] = 0
+                dfs(a)
+            for c, new in trail:
+                above[c] ^= new
             if limit is not None and len(solutions) >= limit:
                 return
 
@@ -235,5 +233,5 @@ def group_conjugates_by_isomorphism(tables) -> list[list[OrderRelationTable]]:
     """Group order tables by the isomorphism class of their poset."""
     groups: dict[tuple, list[OrderRelationTable]] = {}
     for t in tables:
-        groups.setdefault(t.to_poset().canonical_form(), []).append(t)
+        groups.setdefault(t.canonical_form(), []).append(t)
     return list(groups.values())

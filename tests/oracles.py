@@ -230,6 +230,81 @@ def brute_transitive_orientations(ground):
     return found
 
 
+def backtrack_orientations(ground, limit=None):
+    """Transitive orientations of the overlap graph by the pair-matrix
+    backtracking search the package used before its bitset-row search.
+
+    Returns each orientation's reflexive bitset rows (bit j of rows[i]: i
+    below or equal to j), in search order; `limit` keeps a prefix.
+    """
+    m = len(ground)
+    edge = [[False] * m for _ in range(m)]
+    edges = overlap_edges(ground)
+    for i, j in edges:
+        edge[i][j] = edge[j][i] = True
+
+    rel = [[0] * m for _ in range(m)]  # 1: row < col, -1: row > col
+    solutions = []
+
+    def orient(a, b, trail):
+        # record a < b and propagate transitivity; False on contradiction
+        stack = [(a, b)]
+        while stack:
+            x, y = stack.pop()
+            if rel[x][y] == 1:
+                continue
+            if rel[x][y] == -1 or not edge[x][y]:
+                return False
+            rel[x][y] = 1
+            rel[y][x] = -1
+            trail.append((x, y))
+            for c in range(m):
+                if rel[c][x] == 1:   # c < x < y
+                    stack.append((c, y))
+                if rel[y][c] == 1:   # x < y < c
+                    stack.append((x, c))
+        return True
+
+    def dfs(start):
+        if limit is not None and len(solutions) >= limit:
+            return
+        idx = start
+        while idx < len(edges) and rel[edges[idx][0]][edges[idx][1]] != 0:
+            idx += 1
+        if idx == len(edges):
+            solutions.append(tuple(
+                sum(1 << j for j in range(m) if i == j or rel[i][j] == 1)
+                for i in range(m)))
+            return
+        a, b = edges[idx]
+        for u, v in ((a, b), (b, a)):
+            trail = []
+            if orient(u, v, trail):
+                dfs(idx + 1)
+            for x, y in trail:
+                rel[x][y] = 0
+                rel[y][x] = 0
+            if limit is not None and len(solutions) >= limit:
+                return
+
+    dfs(0)
+    return solutions
+
+
+def brute_are_conjugate(t1, t2):
+    """Every distinct pair comparable in exactly one table, pair by pair."""
+    m = len(t1.ground)
+    return all(t1.comparable(i, j) != t2.comparable(i, j)
+               for i in range(m) for j in range(i + 1, m))
+
+
+def brute_are_pseudo_conjugate(t1, t2):
+    """Every distinct pair comparable in at least one table, pair by pair."""
+    m = len(t1.ground)
+    return all(t1.comparable(i, j) or t2.comparable(i, j)
+               for i in range(m) for j in range(i + 1, m))
+
+
 # Obstruction to conjugates of the strong order on the 1..4 ground: the ten
 # intervals minus [1,4], [2,2] and [3,3]. Orientation forcing runs in a cycle
 # through these seven, so their overlap graph (13 edges) has no transitive

@@ -279,6 +279,11 @@ class TestConjugateSearch:
         assert code == 3
         assert "--force" in capsys.readouterr().err
 
+    def test_force_lifts_span_budget(self, capsys):
+        assert cli.main(["conjugate-search", "--lo", "0", "--hi", "4", "--force"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out == ["found 0 conjugate orders in 0 isomorphism classes"]
+
     def test_reversed_endpoints(self, capsys):
         code = cli.main(["conjugate-search", "--lo", "3", "--hi", "1"])
         assert code == 1

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 import oracles
 from intrank import (
     BudgetExceeded,
+    CycleError,
     GroundMismatch,
     IntInterval,
     IntervalOrder,
@@ -17,6 +20,7 @@ from intrank import (
     leq_weak,
     subset,
 )
+from intrank.intervals import _orientations
 
 
 def iv(lo, hi):
@@ -146,6 +150,27 @@ class TestOrderRelationTable:
         with pytest.raises(ValueError):
             OrderRelationTable((iv(0, 1), iv(0, 1)), (0b01, 0b10))
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_from_relation_matches_closure_oracle(self, seed):
+        rng = random.Random(seed)
+        ground = tuple(rng.sample(all_intervals(0, 3), rng.randint(1, 7)))
+        m = len(ground)
+        # pairs pointing up in index order never close into a cycle
+        gens = [(i, j) for i in range(m) for j in range(i + 1, m)
+                if rng.random() < 0.3]
+        t = OrderRelationTable.from_relation(ground, gens)
+        assert type(t) is OrderRelationTable
+        assert t.ground == ground
+        assert t.strict_pairs() == {(a, b) for a, b in oracles.closure_pairs(m, gens)
+                                    if a != b}
+
+    def test_from_relation_rejects(self):
+        ground = all_intervals(1, 2)
+        with pytest.raises(CycleError):
+            OrderRelationTable.from_relation(ground, [(0, 1), (1, 2), (2, 0)])
+        with pytest.raises(IndexError):
+            OrderRelationTable.from_relation(ground, [(0, 3)])
+
     def test_strict_pairs(self):
         t = OrderRelationTable.from_strict_pairs(
             (iv(0, 0), iv(2, 2)), [(0, 1)])
@@ -203,6 +228,22 @@ class TestConjugacy:
                 if weak_cmp and sub_cmp:
                     assert x.lo == y.lo or x.hi == y.hi
 
+    def test_predicates_match_oracles(self):
+        # every ordered pair of the five orders on 0..k, k <= 4, and each
+        # search solution on 1..3 against the strong order and itself
+        pairs = []
+        for hi in range(5):
+            tables = [OrderRelationTable.from_order(all_intervals(0, hi), o)
+                      for o in IntervalOrder]
+            pairs += [(t1, t2) for t1 in tables for t2 in tables]
+        strong = OrderRelationTable.from_order(all_intervals(1, 3), "strong")
+        for t in find_conjugates_of_strong(1, 3):
+            pairs += [(t, strong), (strong, t), (t, t)]
+        for t1, t2 in pairs:
+            assert are_conjugate(t1, t2) == oracles.brute_are_conjugate(t1, t2)
+            assert (are_pseudo_conjugate(t1, t2)
+                    == oracles.brute_are_pseudo_conjugate(t1, t2))
+
     def test_ground_mismatch(self):
         t1 = OrderRelationTable.from_order(all_intervals(1, 2), "weak")
         t2 = OrderRelationTable.from_order(all_intervals(2, 3), "weak")
@@ -246,6 +287,34 @@ class TestConjugateSearch:
         assert len(sols) == 2
         full = find_conjugates_of_strong(1, 3)
         assert [t.rows for t in sols] == [t.rows for t in full[:2]]
+
+    @pytest.mark.parametrize("span", range(6))
+    def test_matches_backtracking_oracle_on_full_grounds(self, span):
+        # Shifting every endpoint keeps the overlap graph and the ground's
+        # order, so lo = 0 and lo = 1 stand for every lo.
+        for lo in (0, 1):
+            ground = tuple(all_intervals(lo, lo + span))
+            for limit in (None, 0, 1, 2, 3):
+                got = find_conjugates_of_strong(lo, lo + span, limit, max_ground=None)
+                assert ([t.rows for t in got]
+                        == oracles.backtrack_orientations(ground, limit))
+
+    def test_matches_backtracking_oracle_on_subfamilies(self):
+        # Subfamilies of up to 8 intervals, in random order: full grounds of
+        # span 3 and more have no solutions, so only subfamilies exercise
+        # enumeration. k pairwise-overlapping intervals have k! orientations.
+        rng = random.Random(0)
+        pool = all_intervals(0, 6)
+        solutions = 0
+        for _ in range(300):
+            ground = tuple(rng.sample(pool, rng.randint(1, 8)))
+            for limit in (None, 2):
+                got = _orientations(ground, limit)
+                assert ([t.rows for t in got]
+                        == oracles.backtrack_orientations(ground, limit))
+                assert all(t.ground == ground for t in got)
+                solutions += len(got)
+        assert solutions > 1000
 
     def test_ground_budget(self):
         with pytest.raises(BudgetExceeded):
