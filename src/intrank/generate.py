@@ -125,21 +125,15 @@ def random_kdim_poset(cfg: GenConfig) -> Poset:
         raise ValueError("config is not for the random-kdim model")
     rng = random.Random(cfg.seed)
     n = cfg.n
-    positions = []
+    rows = [(1 << n) - 1] * n
     for _ in range(cfg.k):
         perm = list(range(n))
         rng.shuffle(perm)
-        pos = [0] * n
-        for where, v in enumerate(perm):
-            pos[v] = where
-        positions.append(pos)
-    rows = []
-    for i in range(n):
-        m = 0
-        for j in range(n):
-            if all(pos[i] <= pos[j] for pos in positions):
-                m |= 1 << j
-        rows.append(m)
+        # Walking the order backwards, `above` holds v and what follows it.
+        above = 0
+        for v in reversed(perm):
+            above |= 1 << v
+            rows[v] &= above
     p = Poset(rows)
     return p.add_bounds() if cfg.add_bounds else p
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
+from operator import or_
 
 from .errors import BudgetExceeded, GroundMismatch
 from .poset import Poset, _bits
@@ -73,20 +75,57 @@ def all_intervals(lo_min: int, hi_max: int) -> list[IntInterval]:
             for b in range(a, hi_max + 1)]
 
 
+def _endpoint_masks(keys: list[tuple[int, int]]) -> tuple[list[int], ...]:
+    """Running-OR masks of (lo, hi) keys by endpoint value v.
+
+    Bit i of le_lo[v] is set iff keys[i][0] <= v, of ge_lo[v] iff
+    keys[i][0] >= v, and likewise le_hi and ge_hi for keys[i][1]. Endpoints
+    must be small nonnegative integers: v runs over 0..max hi + 1, so
+    ge_lo[hi + 1] exists for every key.
+    """
+    size = max((hi for _, hi in keys), default=-1) + 2
+    at_lo, at_hi = [0] * size, [0] * size
+    for i, (lo, hi) in enumerate(keys):
+        at_lo[lo] |= 1 << i
+        at_hi[hi] |= 1 << i
+    return (list(accumulate(at_lo, or_)), list(accumulate(at_lo[::-1], or_))[::-1],
+            list(accumulate(at_hi, or_)), list(accumulate(at_hi[::-1], or_))[::-1])
+
+
+def _endpoint_rows(keys: list[tuple[int, int]], *orders: IntervalOrder) -> list[list[int]]:
+    """One row list per order: bit j of row i is set iff keys[i] <= keys[j].
+
+    The four dominance orders AND one mask per endpoint. Strong sets bit i
+    and the keys whose lo exceeds keys[i]'s hi, so its keys must be distinct.
+    """
+    le_lo, ge_lo, le_hi, ge_hi = _endpoint_masks(keys)
+    sides = {IntervalOrder.WEAK: (ge_lo, ge_hi), IntervalOrder.DUAL_WEAK: (le_lo, le_hi),
+             IntervalOrder.SUBSET: (le_lo, ge_hi), IntervalOrder.SUPERSET: (ge_lo, le_hi)}
+    out = []
+    for order in orders:
+        if order is IntervalOrder.STRONG:
+            out.append([1 << i | ge_lo[hi + 1] for i, (_, hi) in enumerate(keys)])
+        else:
+            lo_masks, hi_masks = sides[order]
+            out.append([lo_masks[lo] & hi_masks[hi] for lo, hi in keys])
+    return out
+
+
+def _ground_keys(ground: tuple[IntInterval, ...]) -> list[tuple[int, int]]:
+    # Each endpoint replaced by its position among the ground's distinct
+    # endpoint values. The orders compare endpoints only by < and <=, so the
+    # rows do not change, and the masks stay as long as the ground.
+    values = sorted({v for x in ground for v in (x.lo, x.hi)})
+    position = {v: r for r, v in enumerate(values)}
+    return [(position[x.lo], position[x.hi]) for x in ground]
+
+
 def _interval_rows(ground: tuple[IntInterval, ...], order: IntervalOrder | str) -> list[int]:
     # Bit j of rows[i] is set iff ground[i] <= ground[j] in the order.
-    if not isinstance(order, IntervalOrder):
-        order = IntervalOrder(order)
+    order = IntervalOrder(order)
     if len(set(ground)) != len(ground):
         raise ValueError("ground intervals must be distinct")
-    rows = []
-    for x in ground:
-        m = 0
-        for j, y in enumerate(ground):
-            if order.leq(x, y):
-                m |= 1 << j
-        rows.append(m)
-    return rows
+    return _endpoint_rows(_ground_keys(ground), order)[0]
 
 
 def interval_poset(ground, order: IntervalOrder | str) -> Poset:
@@ -185,9 +224,9 @@ def _orientations(ground: tuple[IntInterval, ...],
     # backtracking over bitset rows. Pairs (a, b), a < b, are decided in
     # lexicographic order, trying a < b before b < a.
     m = len(ground)
-    overlap = [sum(1 << j for j, y in enumerate(ground)
-                   if j != i and not (x.hi < y.lo or y.hi < x.lo))
-               for i, x in enumerate(ground)]
+    keys = _ground_keys(ground)
+    le_lo, _, _, ge_hi = _endpoint_masks(keys)
+    overlap = [le_lo[hi] & ge_hi[lo] & ~(1 << i) for i, (lo, hi) in enumerate(keys)]
     above = [0] * m  # bit y of above[x]: x < y has been decided
     solutions: list[OrderRelationTable] = []
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceeded, RangeError, TooSmall, UnboundedError
-from .intervals import IntInterval, IntervalOrder
+from .intervals import IntInterval, IntervalOrder, _endpoint_rows
 from .poset import Poset, _bits
 
 
@@ -123,51 +123,21 @@ class RankPoset:
         raise LookupError(f"element {element} not in any block")
 
 
-def _dominance_rows(keys: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
-    """Up rows and down rows of two-sided dominance over keys.
-
-    Bit j of up[i] is set iff keys[j] <= keys[i] in both coordinates, and
-    bit j of down[i] iff keys[i] <= keys[j]. `keys` must be distinct and
-    sorted in descending order. Then the keys whose first coordinate is at
-    most that of keys[i] are a suffix, from the first index sharing keys[i]'s
-    first coordinate, and those whose first coordinate is at least keys[i]'s
-    are the mirror prefix, up to the last such index. The keys whose second
-    coordinate is at most (at least) keys[i]'s are one prefix-OR (suffix-OR)
-    mask over the sorted second coordinates. A row is the AND of two masks.
-    """
-    by_second = sorted(range(len(keys)), key=lambda j: keys[j][1])
-    below: dict[int, int] = {}
-    seen = 0
-    for j in by_second:
-        seen |= 1 << j
-        below[keys[j][1]] = seen
-    above: dict[int, int] = {}
-    seen = 0
-    for j in reversed(by_second):
-        seen |= 1 << j
-        above[keys[j][1]] = seen
-    start: dict[int, int] = {}
-    end: dict[int, int] = {}
-    for i, (a, _) in enumerate(keys):
-        start.setdefault(a, i)
-        end[a] = i + 1
-    full = (1 << len(keys)) - 1
-    up = [full >> start[a] << start[a] & below[b] for a, b in keys]
-    down = [((1 << end[a]) - 1) & above[b] for a, b in keys]
-    return up, down
-
-
-def _image(endpoints: list[tuple[int, int]], hi_sign: int) -> RankPoset:
-    # Element a's key is (lo, hi_sign * hi) of its rank; the image order is
-    # two-sided dominance of keys, listed in descending key order.
+def _image(endpoints: list[tuple[int, int]], conjugate: bool) -> RankPoset:
+    # The distinct ranks, listed in descending (lo, hi) order, or by (-lo, hi)
+    # for conjugate ranks, with their rows under the image order. Rank
+    # endpoints are at most 2n, so they index the endpoint masks directly.
     groups: dict[tuple[int, int], list[int]] = {}
-    for a, (lo, hi) in enumerate(endpoints):
-        groups.setdefault((lo, hi_sign * hi), []).append(a)
-    distinct = sorted(groups, reverse=True)
-    intervals = tuple(IntInterval(lo, hi_sign * b) for lo, b in distinct)
-    up, down = _dominance_rows(distinct)
+    for a, key in enumerate(endpoints):
+        groups.setdefault(key, []).append(a)
+    distinct = sorted(groups, key=(lambda k: (k[0], -k[1])) if conjugate else None,
+                      reverse=True)
+    orders = ((IntervalOrder.SUBSET, IntervalOrder.SUPERSET) if conjugate
+              else (IntervalOrder.DUAL_WEAK, IntervalOrder.WEAK))
+    up, down = _endpoint_rows(distinct, *orders)
+    intervals = tuple(IntInterval(lo, hi) for lo, hi in distinct)
     image = Poset(up, tuple(str(iv) for iv in intervals))
-    # The sweep already gave the transpose; prime the cached down_rows.
+    # The dual order gives the transpose; prime the cached down_rows.
     vars(image)["down_rows"] = tuple(down)
     return RankPoset(intervals, image, tuple(tuple(groups[key]) for key in distinct))
 
@@ -175,25 +145,21 @@ def _image(endpoints: list[tuple[int, int]], hi_sign: int) -> RankPoset:
 def rank_image(p: Poset) -> RankPoset:
     """Collapse elements sharing a standard rank; order images dual-weakly.
 
-    The interval list is sorted descending by (lo, hi), a linear extension
-    of the image order that starts at the image of the bottom element. In
-    that order x <= y (y.lo <= x.lo and y.hi <= x.hi) is two-sided dominance
-    of (lo, hi) keys, so each image row is built by one sorted sweep: the
-    intervals with y.lo <= x.lo are a suffix of the list, and those with
-    y.hi <= x.hi are a prefix-OR mask over the sorted upper ends.
+    x <= y iff y.lo <= x.lo and y.hi <= x.hi. The interval list is sorted
+    descending by (lo, hi), a linear extension of the image order that
+    starts at the image of the bottom element.
     """
-    return _image(_endpoints(p, False), 1)
+    return _image(_endpoints(p, False), False)
 
 
 def conjugate_image(p: Poset) -> RankPoset:
     """Collapse elements sharing a conjugate rank; order images by containment.
 
-    The interval list is sorted by (-lo, hi). Keyed by (lo, -hi), that is
-    descending key order, and containment x <= y (y.lo <= x.lo and
-    x.hi <= y.hi) is the same two-sided dominance of keys that rank_image
-    sweeps.
+    x <= y iff x is a subset of y (y.lo <= x.lo and x.hi <= y.hi). The
+    interval list is sorted by (-lo, hi), a linear extension of the image
+    order that starts at the image of the bottom element.
     """
-    return _image(_endpoints(p, True), -1)
+    return _image(_endpoints(p, True), True)
 
 
 def rank_all(p: Poset) -> Poset:
@@ -203,16 +169,10 @@ def rank_all(p: Poset) -> Poset:
     standard rank of b in both endpoints-at-least senses (dual-weak).
     Labels are preserved; the result always extends the original order.
     """
-    rp = rank_image(p)
-    masks = [sum(1 << a for a in blk) for blk in rp.blocks]
-    rows = [0] * p.n
-    for i, blk in enumerate(rp.blocks):
-        above = 0
-        for j in _bits(rp.order.strict_rows[i]):
-            above |= masks[j]
-        for a in blk:
-            rows[a] = above | 1 << a
-    return Poset(rows, p.labels)
+    up, down = _endpoint_rows(_endpoints(p, False), IntervalOrder.DUAL_WEAK,
+                              IntervalOrder.WEAK)
+    # Equal ranks relate both ways, so up & down is exactly the equal ranks.
+    return Poset([up[a] & ~down[a] | 1 << a for a in range(p.n)], p.labels)
 
 
 def phi(x: IntInterval, h: int) -> IntInterval:

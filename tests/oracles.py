@@ -5,6 +5,7 @@ subsets, chains, orientations, or whole function spaces. Each oracle is
 written independently of the package internals it checks.
 """
 
+import random
 from itertools import product
 
 from intrank import IntInterval, IntervalOrder, Poset, RankPoset, conjugate_rank, standard_rank
@@ -359,6 +360,30 @@ def upper_triangle_posets(n: int):
     for bits in product((0, 1), repeat=len(slots)):
         gens = [pair for pair, b in zip(slots, bits) if b]
         yield Poset.from_relation(n, gens)
+
+
+def brute_kdim_poset(cfg) -> Poset:
+    """random_kdim_poset by each element's position in each of the k
+    shuffled orders: i <= j iff i comes no later than j in all of them."""
+    rng = random.Random(cfg.seed)
+    n = cfg.n
+    positions = []
+    for _ in range(cfg.k):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        pos = [0] * n
+        for where, v in enumerate(perm):
+            pos[v] = where
+        positions.append(pos)
+    rows = []
+    for i in range(n):
+        m = 0
+        for j in range(n):
+            if all(pos[i] <= pos[j] for pos in positions):
+                m |= 1 << j
+        rows.append(m)
+    p = Poset(rows)
+    return p.add_bounds() if cfg.add_bounds else p
 
 
 # The rank-image orders compared pair by pair, and the listing order of the

@@ -111,6 +111,16 @@ class TestGroundSets:
         p = interval_poset([iv(0, 0)], "strong")
         assert p.n == 1
 
+    def test_large_endpoints(self):
+        # Rows depend only on how endpoints compare, never on their size.
+        big = 10 ** 12
+        p = interval_poset([iv(0, big), iv(big, big)], "weak")
+        assert p.rows == interval_poset([iv(0, 1), iv(1, 1)], "weak").rows
+        assert ([t.rows for t in find_conjugates_of_strong(big, big + 2)]
+                == [t.rows for t in find_conjugates_of_strong(0, 2)])
+        with pytest.raises(ValueError, match="a poset needs at least one element"):
+            interval_poset([], "weak")
+
     def test_interval_poset_rejects_duplicates(self):
         with pytest.raises(ValueError):
             interval_poset([iv(1, 2), iv(1, 2)], "weak")
@@ -118,11 +128,18 @@ class TestGroundSets:
 
 class TestOrderRelationTable:
     def test_from_order_matches_pointwise(self):
-        ground = all_intervals(1, 3)
-        t = OrderRelationTable.from_order(ground, "strong")
-        for i, x in enumerate(ground):
-            for j, y in enumerate(ground):
-                assert t.leq(i, j) == leq_strong(x, y)
+        # Full grounds, and shuffled subfamilies that reach lo = 0 and the
+        # top hi in any position, in every order, by both constructors.
+        rng = random.Random(0)
+        pool = all_intervals(0, 6)
+        grounds = [all_intervals(0, k) for k in range(6)]
+        grounds += [rng.sample(pool, rng.randint(1, len(pool))) for _ in range(200)]
+        for ground in grounds:
+            for order in IntervalOrder:
+                want = tuple(sum(1 << j for j, y in enumerate(ground) if order.leq(x, y))
+                             for x in ground)
+                assert OrderRelationTable.from_order(ground, order).rows == want
+                assert interval_poset(ground, order.value).rows == want
 
     def test_from_order_validates_once(self, monkeypatch):
         import intrank.poset

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import antichain, chain, cube3, diamond, n5
@@ -274,6 +276,32 @@ class TestRankAll:
         for p in bounded_corpus[:150]:
             if rank_all(p).is_graded():
                 assert rank_image(p).order.is_graded()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.data())
+def test_criterion_3_over_random_relations(data):
+    # Bounded posets on up to 10 elements, closed from random generator
+    # pairs that point upward along a random labelling, so never cyclic.
+    n = data.draw(st.integers(1, 8))
+    label = data.draw(st.permutations(range(n)))
+    slots = [(label[i], label[j]) for i in range(n) for j in range(i + 1, n)]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
+    p = Poset.from_relation(n, [s for s, k in zip(slots, keep) if k]).add_bounds()
+    h = p.height()
+    ri = rank_image(p)
+    assert ri.order.height() >= h
+    assert ri.order.width() <= p.width()
+    q = rank_all(p)
+    assert all(p.rows[a] & ~q.rows[a] == 0 for a in range(p.n))
+    if not oracles.brute_is_graded(p):
+        assert sum(r.bit_count() for r in q.rows) > sum(r.bit_count() for r in p.rows)
+    ci = conjugate_image(p)
+    image = [phi(x, h) for x in ri.intervals]
+    assert dict(zip(image, ri.blocks)) == dict(zip(ci.intervals, ci.blocks))
+    at = {x: k for k, x in enumerate(ci.intervals)}
+    assert all(ri.order.leq(i, j) == ci.order.leq(at[x], at[y])
+               for i, x in enumerate(image) for j, y in enumerate(image))
 
 
 class TestPhi:

@@ -200,6 +200,14 @@ class TestKdimModel:
                     expected = all(pp[a] <= pp[b] for pp in pos)
                     assert p.leq(a, b) == expected
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 30, 60])
+    def test_matches_position_oracle(self, n):
+        for k in (1, 2, 3, 5):
+            for seed in range(20):
+                for add_bounds in (True, False):
+                    cfg = kdim_cfg(n, k, seed, add_bounds)
+                    assert random_kdim_poset(cfg) == oracles.brute_kdim_poset(cfg)
+
     def test_always_valid(self):
         for seed in range(50):
             p = random_kdim_poset(kdim_cfg(9, 3, seed))

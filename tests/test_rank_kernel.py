@@ -1,7 +1,8 @@
 """The rank-image kernel against the pairwise reference in tests/oracles.py.
 
-rank_image, conjugate_image and rank_all build their rows by a sorted
-dominance sweep; the oracles compare every pair of intervals. Both must give
+rank_image, conjugate_image and rank_all build their rows from running-OR
+endpoint masks (intervals._endpoint_rows); the oracles compare every pair of
+intervals. Both must give
 the same intervals, rows, labels and blocks, and iterate_to_chain the same
 preorder levels.
 """
