@@ -206,6 +206,8 @@ def _cmd_iterate(args) -> int:
 def _cmd_conjugates(args) -> int:
     if args.hi < args.lo:
         raise UsageError("--hi must be at least --lo")
+    if args.limit is not None and args.limit < 1:
+        raise UsageError("--limit must be at least 1")
     if args.hi - args.lo > 3 and not args.force:
         raise BudgetExceeded(
             "endpoint span above 3 needs --force (search grows steeply)")
@@ -289,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="find conjugates of the strong interval order")
     conj.add_argument("--lo", type=int, required=True)
     conj.add_argument("--hi", type=int, required=True)
-    conj.add_argument("--limit", type=int, default=None)
+    conj.add_argument("--limit", type=int, default=None, help="stop after N conjugates (N >= 1)")
     conj.add_argument("--force", action="store_true",
                       help="lift the endpoint-span budget")
     conj.set_defaults(func=_cmd_conjugates)

@@ -36,15 +36,15 @@ def run_iteration_experiment(posets, ids=None) -> list[IterationRecord]:
     records = []
     for pid, p in zip(ids, posets, strict=True):
         trace = iterate_to_chain(p)
-        final = trace.stages[-1].order if trace.stages else p
+        final_size = len(trace.stages[-1]) if trace.stages else p.n  # a chain's height
         records.append(IterationRecord(
             poset_id=str(pid),
             size=p.n,
             height=p.height(),
             width=p.width(),
             iterations=trace.iterations_to_chain,
-            final_chain_size=final.n,
-            final_height=final.height(),
+            final_chain_size=final_size,
+            final_height=final_size,
             avg_rank_width=average_rank_width(p),
         ))
     return records

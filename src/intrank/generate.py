@@ -150,6 +150,8 @@ def generate(cfg: GenConfig) -> Poset:
 def random_corpus(model: str, sizes, count: int, *, p: float = 0.5, k: int = 3,
                   seed: int = 0, add_bounds: bool = True) -> list[Poset]:
     """`count` posets per core size, seeds running seed, seed+1, ..."""
+    if count < 0:
+        raise ValueError("count must be nonnegative")
     out = []
     index = 0
     for n in sizes:

@@ -207,9 +207,11 @@ def find_conjugates_of_strong(lo_min: int, hi_max: int, limit: int | None = None
     the strong comparability graph: orient one undirected pair at a time,
     propagating forced orientations (a<b and b<c force a<c; if a and c are
     not an orientable pair the branch dies). Results arrive in a fixed
-    deterministic order; `limit` stops the search early, and grounds larger
-    than `max_ground` raise BudgetExceeded.
+    deterministic order; `limit` (ValueError if negative) stops the search
+    early, and grounds larger than `max_ground` raise BudgetExceeded.
     """
+    if limit is not None and limit < 0:
+        raise ValueError("limit must be nonnegative")
     ground = tuple(all_intervals(lo_min, hi_max))
     m = len(ground)
     if max_ground is not None and m > max_ground:

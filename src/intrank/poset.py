@@ -14,7 +14,8 @@ over asymptotic cleverness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_
 
 from .errors import CycleError, NotComparable, UnboundedError
 
@@ -194,24 +195,25 @@ class Poset:
 
     # -- chains and heights ----------------------------------------------
 
-    def _chain_heights(self, strict: tuple[int, ...]) -> tuple[int, ...]:
-        # Longest chain starting at each element, following `strict` edges.
-        # If i relates to j then j's strict set is properly contained in
-        # i's, so ascending popcount is a valid evaluation order. levels[h]
-        # masks the elements given height h + 1 so far; an element gets one
-        # more than the highest level its strict set meets.
+    def _chain_heights(self, strict: tuple[int, ...], down: bool = False) -> tuple[int, ...]:
+        # Longest chain starting (with `down`, ending) at each element along
+        # `strict` edges. If i relates to j then j's strict set is properly
+        # inside i's, so ascending popcount goes top first, descending bottom
+        # first. levels[h] masks the elements given height h + 1 (with `down`,
+        # their strict sets); an element gets one more than the highest
+        # level its strict set meets (with `down`, the highest holding it).
         n = self.n
         heights = [1] * n
         levels: list[int] = []
         sizes = [r.bit_count() for r in strict]
-        for i in sorted(range(n), key=sizes.__getitem__):
-            s = strict[i]
+        for i in sorted(range(n), key=sizes.__getitem__, reverse=down):
+            probe, mark = (1 << i, strict[i]) if down else (strict[i], 1 << i)
             h = len(levels)
-            while h and not levels[h - 1] & s:
+            while h and not levels[h - 1] & probe:
                 h -= 1
             if h == len(levels):
                 levels.append(0)
-            levels[h] |= 1 << i
+            levels[h] |= mark
             heights[i] = h + 1
         return tuple(heights)
 
@@ -222,8 +224,9 @@ class Poset:
 
     @cached_property
     def down_heights(self) -> tuple[int, ...]:
-        """down_heights[a]: size of the longest chain inside the down-set of a."""
-        return self._chain_heights(self.strict_down_rows)
+        """down_heights[a]: size of the longest chain inside the down-set of a,
+        swept bottom first over the up-set rows, so without a transpose."""
+        return self._chain_heights(self.strict_rows, down=True)
 
     def height(self) -> int:
         """Size of the largest chain."""
@@ -313,11 +316,9 @@ class Poset:
 
     @cached_property
     def top(self) -> int | None:
-        full = (1 << self.n) - 1
-        for i in range(self.n):
-            if self.down_rows[i] == full:
-                return i
-        return None
+        """The element in every up-set, if there is one; needs no transpose."""
+        common = reduce(and_, self.rows)
+        return common.bit_length() - 1 if common else None
 
     def is_bounded(self) -> bool:
         return self.bottom is not None and self.top is not None

@@ -9,6 +9,7 @@ collapse to a point exactly on elements of maximum-size chains.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -104,14 +105,31 @@ class RankPoset:
     `intervals` lists the distinct rank values in a fixed linear extension
     of the image order (image bottom first); `order` is the poset they
     form; `blocks[i]` are the source elements whose rank is intervals[i].
+    A stage of iterate_to_chain after the first keeps only its blocks and
+    (lo, hi) keys until `intervals` or `order` is read; both are then built
+    by the code rank_image uses, so the order is validated then.
     """
 
     intervals: tuple[IntInterval, ...]
     order: Poset
     blocks: tuple[tuple[int, ...], ...]
 
+    @classmethod
+    def _from_keys(cls, keys: list[tuple[int, int]], blocks) -> "RankPoset":
+        stage = object.__new__(cls)
+        vars(stage).update(blocks=blocks, _keys=keys)
+        return stage
+
+    def __getattr__(self, name):
+        # Reached only for a field a key-built stage has not built yet.
+        if name not in ("intervals", "order") or "_keys" not in vars(self):
+            raise AttributeError(name)
+        image = _image(vars(self).pop("_keys"), False)
+        vars(self).update(intervals=image.intervals, order=image.order)
+        return vars(self)[name]
+
     def __len__(self) -> int:
-        return len(self.intervals)
+        return len(self.blocks)
 
     def is_chain(self) -> bool:
         return self.order.is_chain()
@@ -123,23 +141,25 @@ class RankPoset:
         raise LookupError(f"element {element} not in any block")
 
 
+def _group(values, key=None):
+    # The distinct values, sorted descending by `key`, and the elements
+    # holding each, in element order.
+    groups: dict = {}
+    for a, value in enumerate(values):
+        groups.setdefault(value, []).append(a)
+    distinct = sorted(groups, key=key, reverse=True)
+    return distinct, tuple(tuple(groups[value]) for value in distinct)
+
+
 def _image(endpoints: list[tuple[int, int]], conjugate: bool) -> RankPoset:
     # The distinct ranks, listed in descending (lo, hi) order, or by (-lo, hi)
     # for conjugate ranks, with their rows under the image order. Rank
     # endpoints are at most 2n, so they index the endpoint masks directly.
-    groups: dict[tuple[int, int], list[int]] = {}
-    for a, key in enumerate(endpoints):
-        groups.setdefault(key, []).append(a)
-    distinct = sorted(groups, key=(lambda k: (k[0], -k[1])) if conjugate else None,
-                      reverse=True)
-    orders = ((IntervalOrder.SUBSET, IntervalOrder.SUPERSET) if conjugate
-              else (IntervalOrder.DUAL_WEAK, IntervalOrder.WEAK))
-    up, down = _endpoint_rows(distinct, *orders)
+    distinct, blocks = _group(endpoints, (lambda k: (k[0], -k[1])) if conjugate else None)
+    [rows] = _endpoint_rows(distinct, IntervalOrder.SUBSET if conjugate
+                            else IntervalOrder.DUAL_WEAK)
     intervals = tuple(IntInterval(lo, hi) for lo, hi in distinct)
-    image = Poset(up, tuple(str(iv) for iv in intervals))
-    # The dual order gives the transpose; prime the cached down_rows.
-    vars(image)["down_rows"] = tuple(down)
-    return RankPoset(intervals, image, tuple(tuple(groups[key]) for key in distinct))
+    return RankPoset(intervals, Poset(rows, tuple(str(iv) for iv in intervals)), blocks)
 
 
 def rank_image(p: Poset) -> RankPoset:
@@ -197,38 +217,69 @@ class IterationTrace:
     preorder_levels: tuple[tuple[int, ...], ...]
 
 
-def _chain_top_first(chain: Poset) -> list[int]:
-    # In a chain, up-set chain heights are 1..n from the top down.
-    return sorted(range(chain.n), key=lambda i: chain.up_heights[i])
+def _key_heights(keys: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    # Up and down chain heights of distinct (lo, hi) keys, listed in
+    # descending order, under the dual-weak order. Read ascending, the keys
+    # above x come before it, so up[x] is one more than the largest up among
+    # earlier keys with hi <= x.hi: Fredman's longest-increasing-subsequence
+    # sweep, where tails[j] is the least hi read so far at height j + 1 and
+    # is nondecreasing in j. Down heights are the mirror pass: read
+    # descending, over -hi.
+    heights = []
+    for his in ([hi for _, hi in reversed(keys)], [-hi for _, hi in keys]):
+        tails: list[int] = []
+        out = []
+        for hi in his:
+            j = bisect_right(tails, hi)
+            if j == len(tails):
+                tails.append(hi)
+            else:
+                tails[j] = hi
+            out.append(j + 1)
+        heights.append(out)
+    return heights[0][::-1], heights[1]
+
+
+def _key_chain(keys: list[tuple[int, int]]) -> bool:
+    # Distinct keys listed descending form a chain iff no hi rises.
+    return all(a[1] >= b[1] for a, b in zip(keys, keys[1:]))
 
 
 def iterate_to_chain(p: Poset) -> IterationTrace:
     """Apply rank_image until the image is a chain.
 
-    A chain input takes zero iterations. Each stage re-ranks the previous
-    image purely structurally; original elements are tracked through block
-    membership, and the levels of the final chain (top first) give the
-    induced total preorder on p. The iteration count is capped at |p|;
-    hitting the cap raises CapExceeded.
+    A chain input takes zero iterations. The first stage is rank_image(p).
+    Each later stage ranks the distinct (lo, hi) keys of the one before,
+    a partial order of dimension at most 2 that needs no validation: a
+    longest-increasing-subsequence sweep gives its chain heights and the
+    keys' hi ends the chain test. No Poset or interval of such a stage is
+    built until a caller reads its `intervals` or `order`. Original
+    elements are tracked through block membership, and the levels of the
+    final chain (top first) give the induced total preorder on p. The
+    iteration count is capped at |p|; hitting the cap raises CapExceeded.
     """
     _require_rankable(p)
-    stages: list[RankPoset] = []
-    block_map = list(range(p.n))
-    current = p
-    while not current.is_chain():
+    if p.is_chain():
+        # A chain's down heights are 1..n from the bottom up.
+        return IterationTrace(p, (), 0, _group(p.down_heights)[1])
+    stage = rank_image(p)
+    stages = [stage]
+    keys = [(iv.lo, iv.hi) for iv in stage.intervals]
+    block_map = list(range(p.n))  # each element of p by its index in the stage's source
+    while True:
+        owner = {e: bi for bi, blk in enumerate(stage.blocks) for e in blk}
+        block_map = [owner[x] for x in block_map]
+        if _key_chain(keys):
+            break
         if len(stages) >= p.n:
             raise CapExceeded(f"no chain after {p.n} iterations")
-        rp = rank_image(current)
-        stages.append(rp)
-        owner = [0] * current.n
-        for bi, blk in enumerate(rp.blocks):
-            for e in blk:
-                owner[e] = bi
-        block_map = [owner[x] for x in block_map]
-        current = rp.order
-    levels = tuple(tuple(a for a in range(p.n) if block_map[a] == lvl)
-                   for lvl in _chain_top_first(current))
-    return IterationTrace(p, tuple(stages), len(stages), levels)
+        up, down = _key_heights(keys)
+        h = max(up)
+        keys, blocks = _group([(u - 1, h - d) for u, d in zip(up, down)])
+        stage = RankPoset._from_keys(keys, blocks)
+        stages.append(stage)
+    # The final keys list the chain bottom first; descending, top first.
+    return IterationTrace(p, tuple(stages), len(stages), _group(block_map)[1])
 
 
 def total_preorder(p: Poset) -> tuple[tuple[int, ...], ...]:

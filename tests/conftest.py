@@ -23,6 +23,14 @@ def n5() -> Poset:
         labels=("BOT", "x", "y", "z", "TOP"))
 
 
+def two_stage() -> Poset:
+    """BOT < a < b < c < TOP beside BOT < d < TOP: the only bounded poset on
+    at most six elements that takes two iterations (stages of 6 and 5)."""
+    return Poset.from_relation(
+        6, [(0, 1), (1, 2), (2, 3), (3, 5), (0, 4), (4, 5)],
+        labels=("BOT", "a", "b", "c", "d", "TOP"))
+
+
 def cube3() -> Poset:
     rows = []
     for s in range(8):

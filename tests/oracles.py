@@ -427,13 +427,23 @@ def brute_rank_all(p: Poset) -> Poset:
     return Poset(rows, p.labels)
 
 
+def brute_iteration_stages(p: Poset) -> list:
+    """iterate_to_chain's stages: brute_rank_image applied to each image in
+    turn, until brute_is_chain holds."""
+    stages = []
+    current = p
+    while not brute_is_chain(current):
+        stages.append(brute_rank_image(current, "dual-weak"))
+        current = stages[-1].order
+    return stages
+
+
 def brute_preorder_levels(p: Poset) -> tuple:
     """iterate_to_chain's preorder levels, iterating brute_rank_image and
     following each element through the blocks it falls in."""
     member = list(range(p.n))
     current = p
-    while not brute_is_chain(current):
-        rp = brute_rank_image(current, "dual-weak")
+    for rp in brute_iteration_stages(p):
         member = [next(i for i, blk in enumerate(rp.blocks) if e in blk)
                   for e in member]
         current = rp.order

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import chain, diamond, n5
+from conftest import chain, diamond, n5, two_stage
 from intrank import InvalidDocument, Poset, cli, random_corpus
 from intrank.cli import (
     format_poset_document,
@@ -15,6 +15,7 @@ from intrank.cli import (
     parse_poset_document,
     poset_to_dot,
 )
+from oracles import brute_iteration_stages
 
 N5_DOC = """\
 # five elements, one short side
@@ -24,6 +25,17 @@ x < y
 y < TOP
 BOT < z
 z < TOP
+"""
+
+# The only bounded poset on at most six elements that takes two iterations.
+TWO_STAGE_DOC = """\
+elements: BOT a b c d TOP
+BOT < a
+a < b
+b < c
+c < TOP
+BOT < d
+d < TOP
 """
 
 
@@ -166,6 +178,14 @@ class TestGen:
         assert code == 3
         assert "budget exceeded" in capsys.readouterr().err
 
+    def test_negative_count_exit(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = cli.main(["gen", "--model", "random-graph", "--n", "5", "--count", "-3",
+                         "--out", str(out)])
+        assert code == 2
+        assert "count must be nonnegative" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
     def test_bad_model_exit(self, tmp_path, capsys):
         code = cli.main(["gen", "--model", "nope", "--n", "4",
                          "--out", str(tmp_path / "x")])
@@ -231,25 +251,42 @@ class TestIterate:
         assert out[0] == "iterations: 0"
         assert out[1] == "levels: [x4][x3][x2][x1][x0]"
 
-    def test_trace(self, tmp_path, capsys):
-        path = write(tmp_path / "n5.poset", N5_DOC)
+    @pytest.mark.parametrize("doc, sizes", [(N5_DOC, [5]), (TWO_STAGE_DOC, [6, 5])],
+                             ids=["n5", "two-stage"])
+    def test_trace(self, tmp_path, capsys, doc, sizes):
+        path = write(tmp_path / "p.poset", doc)
         assert cli.main(["iterate", path, "--trace"]) == 0
-        out = capsys.readouterr().out
-        assert "stage 1: 5 values:" in out
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == f"iterations: {len(sizes)}"
+        want = brute_iteration_stages(parse_poset_document(doc))
+        assert [len(s) for s in want] == sizes
+        assert [line for line in out if line.startswith("stage ")] == [
+            f"stage {k}: {len(s)} values: " + ", ".join(
+                "{" + " ".join(map(str, blk)) + "}->" + str(iv)
+                for iv, blk in zip(s.intervals, s.blocks))
+            for k, s in enumerate(want, start=1)]
 
-    def test_dot_files(self, tmp_path, capsys):
-        path = write(tmp_path / "n5.poset", N5_DOC)
+    @pytest.mark.parametrize("doc, stages", [(N5_DOC, 1), (TWO_STAGE_DOC, 2)],
+                             ids=["n5", "two-stage"])
+    def test_dot_files(self, tmp_path, capsys, doc, stages):
+        path = write(tmp_path / "p.poset", doc)
         dotdir = tmp_path / "dots"
         assert cli.main(["iterate", path, "--dot", str(dotdir)]) == 0
-        assert "wrote 2 dot files" in capsys.readouterr().out
+        assert f"wrote {stages + 1} dot files" in capsys.readouterr().out
         files = sorted(os.listdir(dotdir))
-        assert files == ["stage_0.dot", "stage_1.dot"]
+        assert files == [f"stage_{k}.dot" for k in range(stages + 1)]
         stage0 = (dotdir / "stage_0.dot").read_text()
-        assert '"BOT" -> "x";' in stage0
         assert '"BOT" -> "TOP";' not in stage0
-        stage1 = (dotdir / "stage_1.dot").read_text()
-        # the image is the 5-chain of rank intervals
-        assert '"[1,2]" -> "[1,1]";' in stage1
+        want = brute_iteration_stages(parse_poset_document(doc))
+        for k, s in enumerate(want, start=1):
+            assert (dotdir / f"stage_{k}.dot").read_text() == poset_to_dot(s.order, f"stage_{k}")
+        if doc == N5_DOC:
+            assert '"BOT" -> "x";' in stage0
+            # the image is the 5-chain of rank intervals
+            assert '"[1,2]" -> "[1,1]";' in (dotdir / "stage_1.dot").read_text()
+
+    def test_two_stage_document(self):
+        assert parse_poset_document(TWO_STAGE_DOC) == two_stage()
 
 
 class TestConjugateSearch:
@@ -273,6 +310,14 @@ class TestConjugateSearch:
                          "--limit", "1"]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[-1].startswith("found 1 conjugate orders")
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_limit_below_one_rejected(self, capsys, limit):
+        code = cli.main(["conjugate-search", "--lo", "0", "--hi", "2", "--limit", limit])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "--limit must be at least 1" in captured.err
+        assert captured.out == ""
 
     def test_span_budget(self, capsys):
         code = cli.main(["conjugate-search", "--lo", "0", "--hi", "4"])

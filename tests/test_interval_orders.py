@@ -305,6 +305,11 @@ class TestConjugateSearch:
         full = find_conjugates_of_strong(1, 3)
         assert [t.rows for t in sols] == [t.rows for t in full[:2]]
 
+    def test_negative_limit_rejected(self):
+        with pytest.raises(ValueError, match="limit must be nonnegative"):
+            find_conjugates_of_strong(0, 2, limit=-1)
+        assert find_conjugates_of_strong(0, 2, limit=0) == []
+
     @pytest.mark.parametrize("span", range(6))
     def test_matches_backtracking_oracle_on_full_grounds(self, span):
         # Shifting every endpoint keeps the overlap graph and the ground's

@@ -476,3 +476,13 @@ def test_convergence_within_size_steps(bounded_corpus):
         except CapExceeded:
             pytest.fail(f"iteration did not converge on {p!r}")
         assert trace.iterations_to_chain <= p.n
+
+
+def test_cap_raises_after_size_stages(monkeypatch):
+    # Force every stage to read as non-chain: the cap stops after |p| stages.
+    tested = []
+    monkeypatch.setattr("intrank.rank._key_chain", lambda keys: tested.append(keys))
+    p = diamond()
+    with pytest.raises(CapExceeded, match="no chain after 4 iterations"):
+        iterate_to_chain(p)
+    assert len(tested) == p.n

@@ -244,6 +244,11 @@ class TestGenerateAndCorpus:
     def test_corpus_size(self):
         assert len(random_corpus("random-kdim", (4,), 17, k=2)) == 17
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="count must be nonnegative"):
+            random_corpus("random-graph", (5,), -3)
+        assert random_corpus("random-graph", (5,), 0) == []
+
     def test_no_bounds_flag(self):
         assert generate(graph_cfg(5, 0.5, 1, add_bounds=False)).n == 5
 

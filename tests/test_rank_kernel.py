@@ -4,13 +4,19 @@ rank_image, conjugate_image and rank_all build their rows from running-OR
 endpoint masks (intervals._endpoint_rows); the oracles compare every pair of
 intervals. Both must give
 the same intervals, rows, labels and blocks, and iterate_to_chain the same
-preorder levels.
+stages and preorder levels. After its first stage, iterate_to_chain ranks
+integer keys alone (rank._key_heights, rank._key_chain); the oracles rank
+every stage's poset.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intrank import (
     GenConfig,
+    IntervalOrder,
+    Poset,
     conjugate_image,
     iterate_to_chain,
     random_graph_poset,
@@ -18,8 +24,17 @@ from intrank import (
     rank_all,
     rank_image,
 )
+from intrank.intervals import _endpoint_rows
+from intrank.rank import _key_chain, _key_heights
 
-from oracles import brute_preorder_levels, brute_rank_all, brute_rank_image
+from oracles import (
+    brute_heights,
+    brute_is_chain,
+    brute_iteration_stages,
+    brute_preorder_levels,
+    brute_rank_all,
+    brute_rank_image,
+)
 
 
 def assert_kernel_matches(p):
@@ -30,7 +45,12 @@ def assert_kernel_matches(p):
         assert got.order.labels == want.order.labels
         assert got.blocks == want.blocks
     assert rank_all(p) == brute_rank_all(p)
-    assert iterate_to_chain(p).preorder_levels == brute_preorder_levels(p)
+    trace = iterate_to_chain(p)
+    assert trace.preorder_levels == brute_preorder_levels(p)
+    assert [(len(s), s.blocks, s.intervals, s.order.rows, s.order.labels)
+            for s in trace.stages] == \
+        [(len(s), s.blocks, s.intervals, s.order.rows, s.order.labels)
+         for s in brute_iteration_stages(p)]
 
 
 def random_posets():
@@ -61,3 +81,14 @@ def test_large_random_graph(n):
     p = random_graph_poset(GenConfig("random-graph", n, p=0.1, seed=n))
     assert rank_image(p).order.n > n // 2  # many distinct ranks, not a near-chain
     assert_kernel_matches(p)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.sets(st.integers(0, 12).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo, 12))),
+               min_size=1, max_size=20))
+def test_key_kernel_matches_induced_poset(keys):
+    # Stage keys are distinct and listed descending, as _image lists them.
+    keys = sorted(keys, reverse=True)
+    p = Poset(_endpoint_rows(keys, IntervalOrder.DUAL_WEAK)[0])
+    assert tuple(map(tuple, _key_heights(keys))) == brute_heights(p)
+    assert _key_chain(keys) == brute_is_chain(p)

@@ -1,16 +1,16 @@
 """Per-stage poset structure against the brute-force oracles.
 
-Every stage of iterate_to_chain reads chain heights (level masks), the chain
-test (distinct up-set sizes) and down rows (primed from the rank-image
-sweep on image posets). These must agree with recursion over p.lt, pairwise
-comparability and the transpose of the rows, on the inputs and on every
-stage image.
+Chain heights (level masks, down heights swept bottom first over the up-set
+rows), the chain test (distinct up-set sizes), the top (the AND of all
+rows) and down rows must agree with recursion over p.lt, pairwise
+comparability, a scan of the up-sets and the transpose of the rows, on the
+inputs and on every stage image.
 """
 
 import pytest
 
 from intrank import CycleError, iterate_to_chain, rank_image
-from conftest import diamond
+from conftest import diamond, two_stage
 from oracles import brute_height, brute_heights, brute_is_chain
 from test_rank_kernel import random_posets
 
@@ -18,6 +18,8 @@ from test_rank_kernel import random_posets
 def assert_structure_matches(p):
     assert (p.up_heights, p.down_heights) == brute_heights(p)
     assert p.is_chain() == brute_is_chain(p)
+    in_every_upset = [j for j in range(p.n) if all(p.leq(i, j) for i in range(p.n))]
+    assert p.top == (in_every_upset[0] if in_every_upset else None)
     assert p.down_rows == tuple(sum(1 << i for i in range(p.n) if p.leq(i, j))
                                 for j in range(p.n))
     # views of the first, middle and last element
@@ -51,9 +53,23 @@ def test_random_posets_and_stages():
 
 
 def test_images_are_validated(monkeypatch):
+    checked = []
+
     def refuse(rows, n):
+        checked.append(n)
         raise CycleError("refused")
 
+    p = two_stage()
+    trace = iterate_to_chain(p)
+    assert [len(stage) for stage in trace.stages] == [6, 5]
     monkeypatch.setattr("intrank.poset.check_partial_order", refuse)
     with pytest.raises(CycleError, match="refused"):
         rank_image(diamond())
+    # The first stage is a rank image, validated as it is built.
+    with pytest.raises(CycleError, match="refused"):
+        iterate_to_chain(p)
+    assert checked == [3, 6]
+    # A later stage is built from keys; its order is validated when first read.
+    with pytest.raises(CycleError, match="refused"):
+        trace.stages[1].order
+    assert checked == [3, 6, 5]
