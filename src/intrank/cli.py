@@ -144,7 +144,6 @@ def poset_to_dot(p: Poset, name: str = "poset") -> str:
 # -- commands ---------------------------------------------------------------
 
 def _cmd_gen(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     posets: list[Poset]
     if args.model == "exhaustive":
         if args.bounds:
@@ -154,6 +153,7 @@ def _cmd_gen(args) -> int:
     else:
         posets = random_corpus(args.model, [args.n], args.count, p=args.p, k=args.k,
                                seed=args.seed, add_bounds=args.bounds)
+    os.makedirs(args.out, exist_ok=True)
     for i, p in enumerate(posets):
         path = os.path.join(args.out, f"poset_{i:05d}.poset")
         _write_atomic(path, format_poset_document(p))
@@ -241,9 +241,7 @@ def _cmd_stats(args) -> int:
     if args.fit:
         xs = [float(g) for g in groups]
         if args.fit == "linear":
-            ys = ([float(m.final_height) for m in groups.values()]
-                  if args.group == "height"
-                  else [float(m.final_chain_size) for m in groups.values()])
+            ys = [float(m.final_chain_size) for m in groups.values()]
             fit = linear_fit(xs, ys)
             print(f"fit: y = {fit.a:.4f}*x + {fit.b:.4f}, R^2 = {fit.r_squared:.4f}")
         else:
@@ -307,13 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -120,20 +120,6 @@ def _ground_keys(ground: tuple[IntInterval, ...]) -> list[tuple[int, int]]:
     return [(position[x.lo], position[x.hi]) for x in ground]
 
 
-def _interval_rows(ground: tuple[IntInterval, ...], order: IntervalOrder | str) -> list[int]:
-    # Bit j of rows[i] is set iff ground[i] <= ground[j] in the order.
-    order = IntervalOrder(order)
-    if len(set(ground)) != len(ground):
-        raise ValueError("ground intervals must be distinct")
-    return _endpoint_rows(_ground_keys(ground), order)[0]
-
-
-def interval_poset(ground, order: IntervalOrder | str) -> Poset:
-    """The poset a given interval order induces on a ground set."""
-    ground = tuple(ground)
-    return Poset(_interval_rows(ground, order), tuple(str(iv) for iv in ground))
-
-
 class OrderRelationTable(Poset):
     """An explicit partial order over a fixed tuple of intervals.
 
@@ -148,8 +134,12 @@ class OrderRelationTable(Poset):
 
     @classmethod
     def from_order(cls, ground, order: IntervalOrder | str) -> "OrderRelationTable":
+        # Bit j of rows[i] is set iff ground[i] <= ground[j] in the order.
         ground = tuple(ground)
-        return cls(ground, _interval_rows(ground, order))
+        order = IntervalOrder(order)
+        if len(set(ground)) != len(ground):
+            raise ValueError("ground intervals must be distinct")
+        return cls(ground, _endpoint_rows(_ground_keys(ground), order)[0])
 
     @classmethod
     def from_relation(cls, ground, generators) -> "OrderRelationTable":
@@ -171,6 +161,11 @@ class OrderRelationTable(Poset):
 
     def to_poset(self) -> Poset:
         return self
+
+
+def interval_poset(ground, order: IntervalOrder | str) -> Poset:
+    """The poset a given interval order induces on a ground set."""
+    return OrderRelationTable.from_order(ground, order)
 
 
 def _comparability(t1: OrderRelationTable, t2: OrderRelationTable):
@@ -229,24 +224,24 @@ def _orientations(ground: tuple[IntInterval, ...],
     keys = _ground_keys(ground)
     le_lo, _, _, ge_hi = _endpoint_masks(keys)
     overlap = [le_lo[hi] & ge_hi[lo] & ~(1 << i) for i, (lo, hi) in enumerate(keys)]
-    above = [0] * m  # bit y of above[x]: x < y has been decided
     solutions: list[OrderRelationTable] = []
 
-    def orient(a: int, b: int, trail: list[tuple[int, int]]) -> bool:
-        # Decide a < b for an undecided pair. The relation is transitive, so
-        # the closure of the new pair is the product of the down-set of a
-        # and the up-set of b. False if a new pair does not overlap.
+    def orient(above: list[int], a: int, b: int) -> list[int] | None:
+        # The rows with a < b decided for an undecided pair (bit y of
+        # above[x]: x < y has been decided). The relation is transitive, so
+        # the closure of the new pair is the product of the down-set of a and
+        # the up-set of b. None if a new pair does not overlap; bits enter a
+        # row only after this test, so above[c] stays inside overlap[c].
         up = above[b] | 1 << b
+        out = above.copy()
         for c in range(m):
             if c == a or above[c] >> a & 1:
-                new = up & ~above[c]
-                if new & ~overlap[c]:
-                    return False
-                above[c] |= new
-                trail.append((c, new))
-        return True
+                if up & ~overlap[c]:
+                    return None
+                out[c] |= up
+        return out
 
-    def dfs(start: int) -> None:
+    def dfs(above: list[int], start: int) -> None:
         if limit is not None and len(solutions) >= limit:
             return
         pair = next(((a, b) for a in range(start, m)
@@ -258,15 +253,11 @@ def _orientations(ground: tuple[IntInterval, ...],
             return
         a, b = pair
         for u, v in ((a, b), (b, a)):
-            trail: list[tuple[int, int]] = []
-            if orient(u, v, trail):
-                dfs(a)
-            for c, new in trail:
-                above[c] ^= new
-            if limit is not None and len(solutions) >= limit:
-                return
+            child = orient(above, u, v)
+            if child is not None:
+                dfs(child, a)
 
-    dfs(0)
+    dfs([0] * m, 0)
     return solutions
 
 

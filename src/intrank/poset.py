@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import and_
+from operator import and_, or_
 
 from .errors import CycleError, NotComparable, UnboundedError
 
@@ -178,15 +178,11 @@ class Poset:
 
     @cached_property
     def cover_rows(self) -> tuple[int, ...]:
-        # (i, j) is a cover iff i < j with nothing strictly between.
-        out = []
-        for i in range(self.n):
-            mask = 0
-            for j in _bits(self.strict_rows[i]):
-                if not self.strict_rows[i] & self.strict_down_rows[j]:
-                    mask |= 1 << j
-            out.append(mask)
-        return tuple(out)
+        # (i, j) is a cover iff i < j with nothing strictly between: j is
+        # above i but in no strict up-set of an element above i. Needs no
+        # transpose.
+        strict = self.strict_rows
+        return tuple(s & ~reduce(or_, (strict[k] for k in _bits(s)), 0) for s in strict)
 
     def covers(self) -> CoverRelation:
         """Transitive reduction as (lower, upper) pairs."""
@@ -271,8 +267,9 @@ class Poset:
         """All inclusion-maximal chains, each listed bottom to top."""
         chains: list[tuple[int, ...]] = []
         succ = self.cover_rows
+        above_some = reduce(or_, self.strict_rows)
         for start in range(self.n):
-            if self.strict_down_rows[start]:
+            if above_some >> start & 1:
                 continue
             # Depth-first over covers, lowest index first; pending[i] holds
             # the covers of path[i] not yet walked.

@@ -184,7 +184,7 @@ class TestGen:
                          "--out", str(out)])
         assert code == 2
         assert "count must be nonnegative" in capsys.readouterr().err
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     def test_bad_model_exit(self, tmp_path, capsys):
         code = cli.main(["gen", "--model", "nope", "--n", "4",
@@ -355,6 +355,13 @@ class TestStats:
 
     def test_linear_fit_on_chains(self, chain_corpus, capsys):
         assert cli.main(["stats", "--corpus", chain_corpus,
+                         "--fit", "linear"]) == 0
+        out = capsys.readouterr().out
+        assert "fit: y = 1.0000*x + 0.0000, R^2 = 1.0000" in out
+
+    def test_linear_fit_grouped_by_height(self, chain_corpus, capsys):
+        # A chain's final size is its height, so the fit is y = x here too.
+        assert cli.main(["stats", "--corpus", chain_corpus, "--group", "height",
                          "--fit", "linear"]) == 0
         out = capsys.readouterr().out
         assert "fit: y = 1.0000*x + 0.0000, R^2 = 1.0000" in out

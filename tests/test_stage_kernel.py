@@ -2,9 +2,10 @@
 
 Chain heights (level masks, down heights swept bottom first over the up-set
 rows), the chain test (distinct up-set sizes), the top (the AND of all
-rows) and down rows must agree with recursion over p.lt, pairwise
-comparability, a scan of the up-sets and the transpose of the rows, on the
-inputs and on every stage image.
+rows), the bottom, the covers (from up-set rows alone) and down rows must
+agree with recursion over p.lt, pairwise comparability, a scan of the
+up-sets and down-sets, the pairwise cover definition and the transpose of
+the rows, on the inputs and on every stage image.
 """
 
 import pytest
@@ -20,6 +21,12 @@ def assert_structure_matches(p):
     assert p.is_chain() == brute_is_chain(p)
     in_every_upset = [j for j in range(p.n) if all(p.leq(i, j) for i in range(p.n))]
     assert p.top == (in_every_upset[0] if in_every_upset else None)
+    in_every_downset = [i for i in range(p.n) if all(p.leq(i, j) for j in range(p.n))]
+    assert p.bottom == (in_every_downset[0] if in_every_downset else None)
+    assert p.cover_rows == tuple(
+        sum(1 << j for j in range(p.n)
+            if p.lt(i, j) and not any(p.lt(i, k) and p.lt(k, j) for k in range(p.n)))
+        for i in range(p.n))
     assert p.down_rows == tuple(sum(1 << i for i in range(p.n) if p.leq(i, j))
                                 for j in range(p.n))
     # views of the first, middle and last element
