@@ -11,13 +11,14 @@ Exit codes: 0 success, 1 usage error, 2 invalid input, 3 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import tempfile
 
 from .errors import BudgetExceeded, IntrankError, InvalidDocument
 from .experiments import aggregate_by, linear_fit, log_fit, run_iteration_experiment, write_records_csv
-from .generate import enumerate_bounded_posets, enumerate_posets, random_corpus
+from .generate import _corpus, enumerate_bounded_posets, enumerate_posets
 from .intervals import OrderRelationTable, all_intervals, are_conjugate, find_conjugates_of_strong, group_conjugates_by_isomorphism
 from .poset import Poset
 from .rank import conjugate_rank, iterate_to_chain, standard_rank
@@ -144,20 +145,21 @@ def poset_to_dot(p: Poset, name: str = "poset") -> str:
 # -- commands ---------------------------------------------------------------
 
 def _cmd_gen(args) -> int:
-    posets: list[Poset]
     if args.model == "exhaustive":
         if args.bounds:
             posets = enumerate_bounded_posets(args.n)
         else:
             posets = enumerate_posets(args.n)
     else:
-        posets = random_corpus(args.model, [args.n], args.count, p=args.p, k=args.k,
-                               seed=args.seed, add_bounds=args.bounds)
+        posets = _corpus(args.model, [args.n], args.count, p=args.p, k=args.k,
+                         seed=args.seed, add_bounds=args.bounds)
     os.makedirs(args.out, exist_ok=True)
-    for i, p in enumerate(posets):
-        path = os.path.join(args.out, f"poset_{i:05d}.poset")
+    written = 0
+    for p in posets:
+        path = os.path.join(args.out, f"poset_{written:05d}.poset")
         _write_atomic(path, format_poset_document(p))
-    print(f"wrote {len(posets)} posets to {args.out}")
+        written += 1
+    print(f"wrote {written} posets to {args.out}")
     return EXIT_OK
 
 
@@ -226,7 +228,7 @@ def _cmd_stats(args) -> int:
     files = sorted(f for f in os.listdir(args.corpus) if f.endswith(".poset"))
     if not files:
         raise InvalidDocument(f"no .poset files in {args.corpus}")
-    posets = [load_poset(os.path.join(args.corpus, f)) for f in files]
+    posets = (load_poset(os.path.join(args.corpus, f)) for f in files)
     ids = [os.path.splitext(f)[0] for f in files]
     records = run_iteration_experiment(posets, ids)
     groups = aggregate_by(records, args.group)
@@ -253,6 +255,9 @@ def _cmd_stats(args) -> int:
 
 # -- parser -----------------------------------------------------------------
 
+# Built once per process: parsing leaves the parser unchanged, and each
+# subcommand parses into a fresh namespace.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="intrank", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

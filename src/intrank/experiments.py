@@ -29,9 +29,11 @@ class IterationRecord:
 
 
 def run_iteration_experiment(posets, ids=None) -> list[IterationRecord]:
-    """Iterate every poset to a chain and record the measurements."""
-    posets = list(posets)
+    """Iterate every poset to a chain and record the measurements.
+
+    With ids given, posets may be a generator: each is read once, in turn."""
     if ids is None:
+        posets = list(posets)
         ids = [f"P{i:05d}" for i in range(len(posets))]
     records = []
     for pid, p in zip(ids, posets, strict=True):

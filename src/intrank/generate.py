@@ -147,17 +147,16 @@ def generate(cfg: GenConfig) -> Poset:
     raise ValueError("use enumerate_posets/enumerate_bounded_posets for exhaustive")
 
 
+def _corpus(model: str, sizes, count: int, *, seed: int = 0, **params):
+    """random_corpus's posets, drawn as iterated; every config is checked first."""
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    cfgs = [GenConfig(model, n, seed=seed + i, **params)
+            for i, n in enumerate(n for n in sizes for _ in range(count))]
+    return map(generate, cfgs)
+
+
 def random_corpus(model: str, sizes, count: int, *, p: float = 0.5, k: int = 3,
                   seed: int = 0, add_bounds: bool = True) -> list[Poset]:
     """`count` posets per core size, seeds running seed, seed+1, ..."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    out = []
-    index = 0
-    for n in sizes:
-        for _ in range(count):
-            cfg = GenConfig(model=model, n=n, p=p, k=k,
-                            seed=seed + index, add_bounds=add_bounds)
-            out.append(generate(cfg))
-            index += 1
-    return out
+    return list(_corpus(model, sizes, count, p=p, k=k, seed=seed, add_bounds=add_bounds))

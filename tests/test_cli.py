@@ -186,6 +186,17 @@ class TestGen:
         assert "count must be nonnegative" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad, message", [
+        (["--n", "0", "--count", "3"], "n must be positive"),
+        (["--n", "5", "--p", "1.5"], "p must lie in [0, 1]"),
+    ])
+    def test_invalid_config_leaves_no_out(self, tmp_path, capsys, bad, message):
+        # Every config is checked before the corpus is streamed into --out.
+        out = tmp_path / "x"
+        assert cli.main(["gen", "--model", "random-graph", *bad, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_model_exit(self, tmp_path, capsys):
         code = cli.main(["gen", "--model", "nope", "--n", "4",
                          "--out", str(tmp_path / "x")])
@@ -395,6 +406,17 @@ class TestStats:
         assert cli.main(["stats", "--corpus", str(empty)]) == 2
         assert "no .poset files" in capsys.readouterr().err
 
+    def test_malformed_last_file_exit(self, chain_corpus, tmp_path, capsys):
+        # The corpus is read one file at a time; a bad file late in it still
+        # fails the whole command before anything is printed or written.
+        write(tmp_path / "chains" / "zzz.poset", "elements: a b\na <= b\n")
+        target = tmp_path / "records.csv"
+        assert cli.main(["stats", "--corpus", chain_corpus, "--csv", str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error:" in err
+        assert not target.exists()
+
 
 class TestUsage:
     def test_no_command(self, capsys):
@@ -408,6 +430,46 @@ class TestUsage:
     def test_missing_required_option(self, capsys):
         assert cli.main(["gen", "--model", "exhaustive", "--n", "4"]) == 1
         capsys.readouterr()
+
+
+class TestParserReuse:
+    """main parses every call with one parser; no call's options leak into the next."""
+
+    def test_trace_flag_does_not_carry_over(self, tmp_path, capsys):
+        path = write(tmp_path / "n5.poset", N5_DOC)
+        assert cli.main(["iterate", path, "--trace"]) == 0
+        assert "stage 1:" in capsys.readouterr().out
+        assert cli.main(["iterate", path]) == 0
+        assert "stage" not in capsys.readouterr().out
+
+    def test_conjugate_flag_does_not_carry_over(self, tmp_path, capsys):
+        path = write(tmp_path / "n5.poset", N5_DOC)
+        assert cli.main(["rank", path, "--conjugate"]) == 0
+        assert "spindle=" not in capsys.readouterr().out
+        assert cli.main(["rank", path]) == 0
+        assert "z [1,2] spindle=false" in capsys.readouterr().out.splitlines()
+
+    def test_usage_error_after_success(self, tmp_path, capsys):
+        path = write(tmp_path / "n5.poset", N5_DOC)
+        assert cli.main(["rank", path]) == 0
+        assert cli.main(["rank"]) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    def test_parser_built_once(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path / "n5.poset", N5_DOC)
+        assert cli.main(["rank", path]) == 0
+        built = []
+        init = cli._Parser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting)
+        for argv in (["rank", path], ["iterate", path], ["frobnicate"]):
+            cli.main(argv)
+        capsys.readouterr()
+        assert built == []
 
 
 def test_document_format_self_describing(tmp_path):

@@ -50,6 +50,12 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_iteration_experiment([chain(3)], ids=["a", "b"])
 
+    def test_one_shot_generator_with_ids(self):
+        posets = [chain(3), diamond(), n5()]
+        ids = ["a", "b", "c"]
+        assert (run_iteration_experiment((p for p in posets), ids)
+                == run_iteration_experiment(posets, ids))
+
     def test_final_height_equals_final_chain_size(self, bounded_corpus):
         # a chain's height is its size, so the two final columns agree
         for r in run_iteration_experiment(bounded_corpus[:200]):
