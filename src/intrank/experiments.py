@@ -127,6 +127,7 @@ def linear_fit(xs, ys) -> FitResult:
 
 def log_fit(xs, ys) -> FitResult:
     """Least squares y = a*ln(x) + b; requires strictly positive x."""
+    xs = list(xs)  # read twice: checked, then fitted
     if any(x <= 0 for x in xs):
         raise DomainError("log fit needs strictly positive x values")
     return _ols([log(x) for x in xs], ys, "logarithmic")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import random
 
 from .errors import BudgetExceeded
-from .poset import Poset, _bits
+from .poset import Poset
 
 ENUM_MAX_FREE = 7
 ENUM_MAX_BOUNDED = 9
@@ -42,15 +42,15 @@ class GenConfig:
             raise ValueError("k must be positive")
 
 
-def _order_ideals(q: Poset):
-    # A subset is an order ideal iff it equals the union of its down-sets.
+def _order_ideals(q: Poset) -> list[int]:
+    # Bottom up over a linear extension (down-sets grow along <): e joins
+    # each ideal already built that holds its strict down-set.
     down = q.down_rows
-    for mask in range(1 << q.n):
-        union = 0
-        for e in _bits(mask):
-            union |= down[e]
-        if union == mask:
-            yield mask
+    ideals = [0]
+    for e in sorted(range(q.n), key=lambda e: down[e].bit_count()):
+        below = down[e] ^ 1 << e
+        ideals += [m | 1 << e for m in ideals if not below & ~m]
+    return ideals
 
 
 def _extend_with_maximal(q: Poset, ideal: int) -> Poset:
@@ -67,8 +67,12 @@ def enumerate_posets(n: int) -> list[Poset]:
 
     Grown level by level: every poset arises from deleting a maximal
     element, so extending each (n-1)-element representative by a new
-    maximal element above each order ideal reaches every class; duplicates
-    are removed through canonical forms. Budget stops at n = 7.
+    maximal element above each order ideal reaches every class. It still
+    does when only extensions whose new element has a largest down-set
+    among the maximal elements are built (McKay's canonical deletion, as a
+    pre-test): deleting such an element from any poset of the class leaves
+    a poset isomorphic to a representative. Duplicates are removed through
+    canonical forms, and the list is sorted by them. Budget stops at n = 7.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -78,7 +82,14 @@ def enumerate_posets(n: int) -> list[Poset]:
     for _ in range(n - 1):
         grown: dict[tuple, Poset] = {}
         for q in level.values():
+            sizes = [d.bit_count() for d in q.down_rows]
+            tops = [e for e in range(q.n) if q.rows[e] == 1 << e]
             for ideal in _order_ideals(q):
+                # The new element's down-set must be as large as that of
+                # every other maximal element of the child.
+                size = ideal.bit_count() + 1
+                if any(sizes[e] > size for e in tops if not ideal >> e & 1):
+                    continue
                 cand = _extend_with_maximal(q, ideal)
                 key = cand.canonical_form()
                 if key not in grown:

@@ -31,15 +31,38 @@ def two_stage() -> Poset:
         labels=("BOT", "a", "b", "c", "d", "TOP"))
 
 
+def boolean_lattice(k: int) -> Poset:
+    """The subsets of a k-set under inclusion."""
+    return Poset([sum(1 << t for t in range(1 << k) if s & t == s) for s in range(1 << k)],
+                 labels=tuple(f"{s:0{k}b}" for s in range(1 << k)))
+
+
 def cube3() -> Poset:
-    rows = []
-    for s in range(8):
-        m = 0
-        for t in range(8):
-            if s & t == s:
-                m |= 1 << t
-        rows.append(m)
-    return Poset(rows, labels=tuple(f"{s:03b}" for s in range(8)))
+    return boolean_lattice(3)
+
+
+def standard_example(k: int) -> Poset:
+    """S_k: minimal a_0..a_{k-1} (elements 0..k-1) below maximal
+    b_0..b_{k-1} (elements k..2k-1), with a_i < b_j iff i != j."""
+    return Poset.from_relation(2 * k, [(i, k + j) for i in range(k) for j in range(k) if i != j])
+
+
+def crowns(*sizes: int) -> Poset:
+    """Disjoint crowns: the k-crown has minimal a_0..a_{k-1} below maximal
+    b_0..b_{k-1}, with a_i < b_i and a_i < b_{i+1 mod k}. Every element
+    meets two others, so refining colours never tells the crowns apart."""
+    pairs, base = [], 0
+    for k in sizes:
+        pairs += [(base + i, base + k + j) for i in range(k) for j in (i, (i + 1) % k)]
+        base += 2 * k
+    return Poset.from_relation(base, pairs)
+
+
+def bounded_chains(count: int, size: int) -> Poset:
+    """`count` disjoint chains of `size` elements, with a bottom and a top added."""
+    return Poset.from_relation(count * size, [(c * size + i, c * size + i + 1)
+                                              for c in range(count)
+                                              for i in range(size - 1)]).add_bounds()
 
 
 @pytest.fixture(scope="session")

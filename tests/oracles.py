@@ -6,7 +6,7 @@ written independently of the package internals it checks.
 """
 
 import random
-from itertools import product
+from itertools import permutations, product
 
 from intrank import IntInterval, IntervalOrder, Poset, RankPoset, conjugate_rank, standard_rank
 
@@ -347,6 +347,31 @@ def gamma_orientable(ground) -> bool:
                 if adj[c][b] and not adj[c][a]:
                     parent[find(idx[(a, b)])] = find(idx[(c, b)])
     return all(find(idx[(a, b)]) != find(idx[(b, a)]) for a, b in arcs)
+
+
+def brute_canonical_form(p: Poset) -> tuple:
+    """(n, least row tuple) over all n! relabellings: element i goes to
+    perm[i], so bit perm[j] of row perm[i] is set iff i <= j."""
+    pairs = [(i, j) for i in range(p.n) for j in range(p.n) if p.leq(i, j)]
+    best = None
+    for perm in permutations(range(p.n)):
+        rows = [0] * p.n
+        for i, j in pairs:
+            rows[perm[i]] |= 1 << perm[j]
+        rows = tuple(rows)
+        if best is None or rows < best:
+            best = rows
+    return (p.n, best)
+
+
+def relabel(p: Poset, perm) -> Poset:
+    """The same order with element i renamed perm[i]."""
+    rows = [0] * p.n
+    for i in range(p.n):
+        for j in range(p.n):
+            if p.leq(i, j):
+                rows[perm[i]] |= 1 << perm[j]
+    return Poset(rows)
 
 
 def upper_triangle_posets(n: int):

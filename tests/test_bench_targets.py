@@ -7,6 +7,7 @@ would otherwise fail only when the bench installs its tracer.
 
 import importlib
 import importlib.util
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -36,3 +37,54 @@ def test_layer_target_exists(module_name, attr):
 def test_candidate_counter_target_exists():
     generate = importlib.import_module("intrank.generate")
     assert callable(getattr(generate, "_extend_with_maximal", None))
+
+
+def test_enumeration_builds_checks_and_keys_every_candidate(monkeypatch):
+    # The bench's CALLED_ON table expects poset.check_partial_order and
+    # poset.canonical_form on the enumerate workload, and counts candidates
+    # at generate._extend_with_maximal.
+    generate = importlib.import_module("intrank.generate")
+    poset = importlib.import_module("intrank.poset")
+    built, checked, keyed = [], [], []
+    extend, check = generate._extend_with_maximal, poset.check_partial_order
+    canonical_form = poset.Poset.canonical_form
+
+    def extend_spy(*args):
+        before = len(checked)
+        built.append(extend(*args))
+        assert checked[before:] == [built[-1].rows]
+        return built[-1]
+
+    def check_spy(rows, n):
+        checked.append(rows)
+        return check(rows, n)
+
+    def key_spy(self):
+        keyed.append(self)
+        return canonical_form(self)
+
+    monkeypatch.setattr(generate, "_extend_with_maximal", extend_spy)
+    monkeypatch.setattr(poset, "check_partial_order", check_spy)
+    monkeypatch.setattr(poset.Poset, "canonical_form", key_spy)
+    assert len(generate.enumerate_posets(4)) == 16
+    assert built
+    assert {id(p) for p in built} <= {id(p) for p in keyed}
+
+
+def test_isomorphism_grouping_reads_up_heights(monkeypatch):
+    # CALLED_ON expects poset.chain_heights on the conjugate-search workload.
+    intervals = importlib.import_module("intrank.intervals")
+    poset = importlib.import_module("intrank.poset")
+    original = poset.Poset.__dict__["up_heights"]
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        return original.func(self)
+
+    spy = cached_property(counted)
+    spy.__set_name__(poset.Poset, "up_heights")
+    monkeypatch.setattr(poset.Poset, "up_heights", spy)
+    tables = intervals.find_conjugates_of_strong(0, 2, max_ground=None)
+    assert len(intervals.group_conjugates_by_isomorphism(tables)) >= 1
+    assert calls

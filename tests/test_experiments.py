@@ -124,6 +124,11 @@ class TestFits:
         assert 0.0 <= fit.r_squared <= 1.0
         assert fit.r_squared > 0.9
 
+    @pytest.mark.parametrize("fit", [linear_fit, log_fit])
+    def test_one_shot_iterables(self, fit):
+        xs, ys = [1.0, 2.0, 3.0], [1.0, 2.0, 4.0]
+        assert fit((x for x in xs), (y for y in ys)) == fit(xs, ys)
+
     def test_degenerate(self):
         with pytest.raises(DegenerateInput):
             linear_fit((2, 2, 2), (1, 2, 3))

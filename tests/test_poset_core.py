@@ -1,9 +1,13 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import antichain, chain, cube3, diamond, n5
+from conftest import (antichain, boolean_lattice, bounded_chains, chain, crowns, cube3,
+                      diamond, n5, standard_example)
 from intrank import CycleError, NotComparable, Poset, UnboundedError
 from intrank.poset import check_partial_order
 
@@ -325,21 +329,63 @@ class TestIsomorphism:
         assert not v.is_isomorphic(v.dual())
 
     def test_canonical_form_invariant_under_permutation(self, free_posets_by_size):
-        import itertools
-        for p in free_posets_by_size[4][::3]:
+        for p in free_posets_by_size[5]:
             for perm in itertools.permutations(range(p.n)):
-                rows = [0] * p.n
-                for i in range(p.n):
-                    m = 0
-                    for j in range(p.n):
-                        if p.leq(i, j):
-                            m |= 1 << perm[j]
-                    rows[perm[i]] = m
-                assert Poset(rows).canonical_form() == p.canonical_form()
+                assert oracles.relabel(p, perm).canonical_form() == p.canonical_form()
 
     def test_distinct_classes_have_distinct_forms(self, free_posets_by_size):
         forms = {p.canonical_form() for p in free_posets_by_size[5]}
         assert len(forms) == len(free_posets_by_size[5])
+
+    @staticmethod
+    def assert_forms_match_oracle(posets):
+        # equal forms <=> equal oracle forms, over every pair
+        forms = [p.canonical_form() for p in posets]
+        brute = [oracles.brute_canonical_form(p) for p in posets]
+        for i in range(len(posets)):
+            for j in range(i + 1, len(posets)):
+                assert (forms[i] == forms[j]) == (brute[i] == brute[j]), (i, j)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_all_labelled_posets_match_oracle(self, n):
+        labelled = {oracles.relabel(q, perm).rows
+                    for q in oracles.upper_triangle_posets(n)
+                    for perm in itertools.permutations(range(n))}
+        self.assert_forms_match_oracle([Poset(rows) for rows in sorted(labelled)])
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_relabelled_pairs_match_oracle(self, n):
+        rng = random.Random(n)
+        posets = []
+        for _ in range(3):
+            slots = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+            base = Poset.from_relation(n, slots)
+            for q in (base, base.dual()):
+                posets.append(q)
+                for _ in range(2):
+                    posets.append(oracles.relabel(q, rng.sample(range(n), n)))
+        self.assert_forms_match_oracle(posets)
+
+    def test_n6_classes_have_distinct_oracle_forms(self, free_posets_by_size):
+        reps = free_posets_by_size[6]
+        assert len(reps) == 318
+        assert len({oracles.brute_canonical_form(p) for p in reps}) == 318
+
+    @pytest.mark.parametrize("p", [
+        boolean_lattice(4), standard_example(5), standard_example(6), bounded_chains(4, 3),
+        crowns(3, 4), crowns(3, 3, 4).add_bounds(),
+    ], ids=["2^4", "S5", "S6", "4x3-chains", "crowns-3-4", "bounded-crowns-3-3-4"])
+    def test_symmetric_inputs_invariant_under_relabelling(self, p):
+        rng = random.Random(p.n)
+        for _ in range(10):
+            perm = rng.sample(range(p.n), p.n)
+            assert oracles.relabel(p, perm).canonical_form() == p.canonical_form()
+
+    def test_crowns_refinement_cannot_split(self):
+        # colour refinement leaves each pair with one cell of minimal and one
+        # of maximal elements; only the search tells them apart
+        forms = {crowns(*sizes).canonical_form() for sizes in [(6,), (3, 3), (4, 4), (8,)]}
+        assert len(forms) == 4
 
 
 class TestComparabilityGraph:
