@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import random
 
 from .errors import BudgetExceeded
-from .poset import Poset
+from .poset import Poset, _bits
 
 ENUM_MAX_FREE = 7
 ENUM_MAX_BOUNDED = 9
@@ -43,23 +43,34 @@ class GenConfig:
 
 
 def _order_ideals(q: Poset) -> list[int]:
-    # Bottom up over a linear extension (down-sets grow along <): e joins
-    # each ideal already built that holds its strict down-set.
-    down = q.down_rows
+    # Bottom up over a linear extension (down-sets grow along <, ties by
+    # index): e joins each ideal already built that holds its strict
+    # down-set and, if e has a twin of lower index, the nearest one. So an
+    # ideal holds each class of twins as a prefix.
+    strict, below = q.strict_rows, q.strict_down_rows
+    last: dict = {}
     ideals = [0]
-    for e in sorted(range(q.n), key=lambda e: down[e].bit_count()):
-        below = down[e] ^ 1 << e
-        ideals += [m | 1 << e for m in ideals if not below & ~m]
+    for e in sorted(range(q.n), key=lambda e: below[e].bit_count()):
+        key = (strict[e], below[e])
+        need = below[e] | last.get(key, 0)
+        last[key] = 1 << e
+        ideals += [m | 1 << e for m in ideals if not need & ~m]
     return ideals
 
 
 def _extend_with_maximal(q: Poset, ideal: int) -> Poset:
-    # Append one new maximal element sitting above exactly `ideal`.
-    new = q.n
-    rows = [q.rows[e] | (1 << new) if ideal >> e & 1 else q.rows[e]
-            for e in range(q.n)]
-    rows.append(1 << new)
-    return Poset(rows)
+    # Append one new maximal element sitting above exactly `ideal`. The old
+    # elements keep their down-sets, so the child inherits q's down-rows
+    # and down-heights and only the new element's are computed.
+    new = 1 << q.n
+    rows = [r | new if ideal >> e & 1 else r for e, r in enumerate(q.rows)]
+    rows.append(new)
+    child = Poset(rows)
+    heights = q.down_heights
+    vars(child).update(
+        down_rows=q.down_rows + (ideal | new,),
+        down_heights=heights + (1 + max((heights[e] for e in _bits(ideal)), default=0),))
+    return child
 
 
 def enumerate_posets(n: int) -> list[Poset]:
@@ -68,11 +79,20 @@ def enumerate_posets(n: int) -> list[Poset]:
     Grown level by level: every poset arises from deleting a maximal
     element, so extending each (n-1)-element representative by a new
     maximal element above each order ideal reaches every class. It still
-    does when only extensions whose new element has a largest down-set
-    among the maximal elements are built (McKay's canonical deletion, as a
-    pre-test): deleting such an element from any poset of the class leaves
-    a poset isomorphic to a representative. Duplicates are removed through
-    canonical forms, and the list is sorted by them. Budget stops at n = 7.
+    does under two prunings:
+
+    - swapping twins (elements with equal strict up- and down-sets) is an
+      automorphism, so only ideals that hold a prefix, by index, of each
+      twin class are generated. Each comes first in its orbit, so the first
+      extension found in each class, the one kept, is the same as without;
+    - an extension is built only when its new element has a largest
+      down-set among the maximal elements (McKay's canonical deletion, as
+      a pre-test): deleting such an element from any poset of the class
+      leaves a poset isomorphic to a representative.
+
+    Each extension inherits its parent's down-rows and down-heights.
+    Duplicates are removed through canonical forms, and the list is sorted
+    by them. Budget stops at n = 7.
     """
     if n < 1:
         raise ValueError("n must be positive")

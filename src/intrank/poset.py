@@ -506,9 +506,10 @@ class Poset:
         Equal across isomorphic posets and distinct otherwise. The rows are
         the least relabelled row tuple over the leaves of an
         individualization-refinement search that prunes by the
-        automorphisms it finds, so symmetric posets stay cheap: the boolean
-        lattice 2^7 takes about 20 ms in process, the standard example S_9
-        about 2 ms.
+        automorphisms it finds, so symmetric posets stay cheap. Measured in
+        process on a shared 2-CPU Intel Xeon under CPython 3.11, medians
+        over separate runs were 26-42 ms for the boolean lattice 2^7 and
+        1.5-3.1 ms for the standard example S_9.
         """
         return self._canonical
 

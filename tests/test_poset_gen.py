@@ -1,3 +1,5 @@
+import hashlib
+import importlib
 import random
 
 import pytest
@@ -6,6 +8,7 @@ import oracles
 from intrank import (
     BudgetExceeded,
     GenConfig,
+    Poset,
     SubsetView,
     check_partial_order,
     enumerate_bounded_posets,
@@ -17,6 +20,16 @@ from intrank import (
 )
 
 FREE_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63}
+
+# sha256 of repr([p.rows for p in enumerate_posets(n)]) before twin pruning;
+# these rows are what `gen --model exhaustive` writes.
+REPRESENTATIVE_DIGESTS = {
+    5: "2cf3af4d2ad2a13fd70c88ee3fd0125af6dd67600e9cb6df9a524e3f793dff0b",
+    6: "73fd0c703bce1dce993670154c67c33f03a485e7d0726c7766071546d1df4e81",
+    7: "1fd8c4e2fe8408c9a59a68f5346937d599aa8c4bf4df3ca3914d7dd632731e9f",
+}
+
+gen_module = importlib.import_module("intrank.generate")
 
 
 def graph_cfg(n, p, seed, add_bounds=True):
@@ -59,6 +72,49 @@ class TestExhaustiveEnumeration:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             enumerate_posets(8)
+
+    @pytest.mark.parametrize("n", sorted(REPRESENTATIVE_DIGESTS))
+    def test_representatives_pinned(self, n):
+        rows = repr([p.rows for p in enumerate_posets(n)])
+        assert hashlib.sha256(rows.encode()).hexdigest() == REPRESENTATIVE_DIGESTS[n]
+
+    def test_eight_elements_past_the_budget(self, monkeypatch):
+        # OEIS A000112; the budget itself stays at 7.
+        monkeypatch.setattr(gen_module, "ENUM_MAX_FREE", 8)
+        assert len(enumerate_posets(8)) == 16999
+
+    def test_order_ideals_hold_a_prefix_of_each_twin_class(self, free_posets_by_size):
+        # Against every mask: the order ideals that hold, in each class of
+        # twins (equal strict up- and down-sets), a prefix by index.
+        for ps in free_posets_by_size.values():
+            for q in ps:
+                classes = {}
+                for e, key in enumerate(zip(q.strict_rows, q.strict_down_rows)):
+                    classes[key] = classes.get(key, 0) | 1 << e
+                want = [m for m in range(1 << q.n)
+                        if all(q.down_rows[e] & ~m == 0 for e in range(q.n) if m >> e & 1)
+                        and all(t & ((1 << (m & t).bit_length()) - 1) == m & t
+                                for t in classes.values())]
+                got = gen_module._order_ideals(q)
+                assert len(got) == len(set(got))
+                assert sorted(got) == want
+
+    def test_candidates_inherit_down_rows_and_heights(self, monkeypatch):
+        built = []
+        extend = gen_module._extend_with_maximal
+
+        def spy(q, ideal):
+            built.append(extend(q, ideal))
+            return built[-1]
+
+        monkeypatch.setattr(gen_module, "_extend_with_maximal", spy)
+        for n in range(2, 7):
+            enumerate_posets(n)
+        assert built
+        for child in built:
+            fresh = Poset(child.rows)
+            assert vars(child)["down_rows"] == fresh.down_rows
+            assert vars(child)["down_heights"] == fresh.down_heights
 
     def test_bad_n(self):
         with pytest.raises(ValueError):
