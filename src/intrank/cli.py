@@ -76,6 +76,8 @@ def parse_poset_document(text: str) -> Poset:
         parts = line.split()
         if len(parts) != 3 or parts[1] != "<":
             raise InvalidDocument(f"line {lineno}: expected 'NAME < NAME'")
+        if parts[0] == parts[2]:
+            raise InvalidDocument(f"line {lineno}: '<' is strict, so {line!r} is invalid")
         pairs.append((parts[0], parts[2]))
     if names is None:
         raise InvalidDocument("missing elements line")

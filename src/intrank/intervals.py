@@ -151,8 +151,11 @@ class OrderRelationTable(Poset):
     @classmethod
     def from_strict_pairs(cls, ground, pairs) -> "OrderRelationTable":
         ground = tuple(ground)
-        rows = [1 << i for i in range(len(ground))]
+        n = len(ground)
+        rows = [1 << i for i in range(n)]
         for a, b in pairs:
+            if not (0 <= a < n and 0 <= b < n):
+                raise IndexError(f"pair ({a}, {b}) out of range for {n} elements")
             rows[a] |= 1 << b
         return cls(ground, tuple(rows))
 

@@ -2,9 +2,10 @@
 
 The standard rank of an element a in a bounded poset of height h is the
 interval [up_heights[a] - 1, h - down_heights[a]]: how far a can sit from
-the top along chains through it. The conjugate rank stretches the lower
-end downward instead: [up_heights[a] - 1, h + down_heights[a] - 2]. Both
-collapse to a point exactly on elements of maximum-size chains.
+the top along chains through it. It collapses to a point exactly on
+elements of maximum-size chains. The conjugate rank keeps the lower end and
+stretches the upper end instead: [up_heights[a] - 1, h + down_heights[a] - 2],
+so on a 3-chain, bottom first, the conjugate ranks are [2,2], [1,3], [0,4].
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import CapExceeded, RangeError, TooSmall, UnboundedError
 from .intervals import IntInterval, IntervalOrder, _endpoint_rows
@@ -93,8 +95,7 @@ def classify_rank_function(f: RankAssignment) -> IntervalOrder | None:
 
 def is_interval_rank_function(f: RankAssignment, order: IntervalOrder | str) -> bool:
     """True iff a < b always maps to f(a) strictly below f(b) in the order."""
-    if not isinstance(order, IntervalOrder):
-        order = IntervalOrder(order)
+    order = IntervalOrder(order)
     return all(order.lt(f.ranks[a], f.ranks[b]) for a, b in _strict_pairs(f.poset))
 
 
@@ -102,31 +103,28 @@ def is_interval_rank_function(f: RankAssignment, order: IntervalOrder | str) -> 
 class RankPoset:
     """Homomorphic image of a poset under an interval rank operator.
 
-    `intervals` lists the distinct rank values in a fixed linear extension
-    of the image order (image bottom first); `order` is the poset they
-    form; `blocks[i]` are the source elements whose rank is intervals[i].
-    A stage of iterate_to_chain after the first keeps only its blocks and
-    (lo, hi) keys until `intervals` or `order` is read; both are then built
-    by the code rank_image uses, so the order is validated then.
+    `keys` lists the distinct (lo, hi) rank values in a fixed linear
+    extension of the image order (image bottom first); `blocks[i]` are the
+    source elements whose rank is keys[i]. `conjugate` picks the image
+    order: containment for conjugate ranks, dual-weak otherwise.
+    `intervals` and `order` are built from the keys when first read, and
+    the order is validated then.
     """
 
-    intervals: tuple[IntInterval, ...]
-    order: Poset
+    keys: tuple[tuple[int, int], ...]
     blocks: tuple[tuple[int, ...], ...]
+    conjugate: bool = False
 
-    @classmethod
-    def _from_keys(cls, keys: list[tuple[int, int]], blocks) -> "RankPoset":
-        stage = object.__new__(cls)
-        vars(stage).update(blocks=blocks, _keys=keys)
-        return stage
+    @cached_property
+    def intervals(self) -> tuple[IntInterval, ...]:
+        return tuple(IntInterval(lo, hi) for lo, hi in self.keys)
 
-    def __getattr__(self, name):
-        # Reached only for a field a key-built stage has not built yet.
-        if name not in ("intervals", "order") or "_keys" not in vars(self):
-            raise AttributeError(name)
-        image = _image(vars(self).pop("_keys"), False)
-        vars(self).update(intervals=image.intervals, order=image.order)
-        return vars(self)[name]
+    @cached_property
+    def order(self) -> Poset:
+        # Rank endpoints are at most 2n, so they index the endpoint masks directly.
+        [rows] = _endpoint_rows(self.keys, IntervalOrder.SUBSET if self.conjugate
+                                else IntervalOrder.DUAL_WEAK)
+        return Poset(rows, tuple(str(iv) for iv in self.intervals))
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -147,19 +145,18 @@ def _group(values, key=None):
     groups: dict = {}
     for a, value in enumerate(values):
         groups.setdefault(value, []).append(a)
-    distinct = sorted(groups, key=key, reverse=True)
+    distinct = tuple(sorted(groups, key=key, reverse=True))
     return distinct, tuple(tuple(groups[value]) for value in distinct)
 
 
-def _image(endpoints: list[tuple[int, int]], conjugate: bool) -> RankPoset:
-    # The distinct ranks, listed in descending (lo, hi) order, or by (-lo, hi)
-    # for conjugate ranks, with their rows under the image order. Rank
-    # endpoints are at most 2n, so they index the endpoint masks directly.
-    distinct, blocks = _group(endpoints, (lambda k: (k[0], -k[1])) if conjugate else None)
-    [rows] = _endpoint_rows(distinct, IntervalOrder.SUBSET if conjugate
-                            else IntervalOrder.DUAL_WEAK)
-    intervals = tuple(IntInterval(lo, hi) for lo, hi in distinct)
-    return RankPoset(intervals, Poset(rows, tuple(str(iv) for iv in intervals)), blocks)
+def _image(p: Poset, conjugate: bool) -> RankPoset:
+    # Conjugate ranks are listed by (-lo, hi), standard ranks in descending
+    # (lo, hi) order. The order is read here so that it is validated as the
+    # image is built.
+    key = (lambda k: (k[0], -k[1])) if conjugate else None
+    image = RankPoset(*_group(_endpoints(p, conjugate), key), conjugate)
+    image.order
+    return image
 
 
 def rank_image(p: Poset) -> RankPoset:
@@ -169,7 +166,7 @@ def rank_image(p: Poset) -> RankPoset:
     descending by (lo, hi), a linear extension of the image order that
     starts at the image of the bottom element.
     """
-    return _image(_endpoints(p, False), False)
+    return _image(p, False)
 
 
 def conjugate_image(p: Poset) -> RankPoset:
@@ -179,7 +176,7 @@ def conjugate_image(p: Poset) -> RankPoset:
     interval list is sorted by (-lo, hi), a linear extension of the image
     order that starts at the image of the bottom element.
     """
-    return _image(_endpoints(p, True), True)
+    return _image(p, True)
 
 
 def rank_all(p: Poset) -> Poset:
@@ -217,7 +214,7 @@ class IterationTrace:
     preorder_levels: tuple[tuple[int, ...], ...]
 
 
-def _key_heights(keys: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
+def _key_heights(keys: tuple[tuple[int, int], ...]) -> tuple[list[int], list[int]]:
     # Up and down chain heights of distinct (lo, hi) keys, listed in
     # descending order, under the dual-weak order. Read ascending, the keys
     # above x come before it, so up[x] is one more than the largest up among
@@ -240,7 +237,7 @@ def _key_heights(keys: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
     return heights[0][::-1], heights[1]
 
 
-def _key_chain(keys: list[tuple[int, int]]) -> bool:
+def _key_chain(keys: tuple[tuple[int, int], ...]) -> bool:
     # Distinct keys listed descending form a chain iff no hi rises.
     return all(a[1] >= b[1] for a, b in zip(keys, keys[1:]))
 
@@ -250,10 +247,10 @@ def iterate_to_chain(p: Poset) -> IterationTrace:
 
     A chain input takes zero iterations. The first stage is rank_image(p).
     Each later stage ranks the distinct (lo, hi) keys of the one before,
-    a partial order of dimension at most 2 that needs no validation: a
-    longest-increasing-subsequence sweep gives its chain heights and the
-    keys' hi ends the chain test. No Poset or interval of such a stage is
-    built until a caller reads its `intervals` or `order`. Original
+    a partial order of dimension at most 2: a longest-increasing-subsequence
+    sweep gives its chain heights and the keys' hi ends the chain test. It
+    is RankPoset(keys, blocks), so its `intervals` and `order` are built,
+    and the order validated, only when a caller first reads them. Original
     elements are tracked through block membership, and the levels of the
     final chain (top first) give the induced total preorder on p. The
     iteration count is capped at |p|; hitting the cap raises CapExceeded.
@@ -264,7 +261,7 @@ def iterate_to_chain(p: Poset) -> IterationTrace:
         return IterationTrace(p, (), 0, _group(p.down_heights)[1])
     stage = rank_image(p)
     stages = [stage]
-    keys = [(iv.lo, iv.hi) for iv in stage.intervals]
+    keys = stage.keys
     block_map = list(range(p.n))  # each element of p by its index in the stage's source
     while True:
         owner = {e: bi for bi, blk in enumerate(stage.blocks) for e in blk}
@@ -276,7 +273,7 @@ def iterate_to_chain(p: Poset) -> IterationTrace:
         up, down = _key_heights(keys)
         h = max(up)
         keys, blocks = _group([(u - 1, h - d) for u, d in zip(up, down)])
-        stage = RankPoset._from_keys(keys, blocks)
+        stage = RankPoset(keys, blocks)
         stages.append(stage)
     # The final keys list the chain bottom first; descending, top first.
     return IterationTrace(p, tuple(stages), len(stages), _group(block_map)[1])

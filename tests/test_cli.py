@@ -102,6 +102,13 @@ class TestDocumentFormat:
         with pytest.raises(Exception, match="line 2"):
             parse_poset_document("elements: a b\na <= b\n")
 
+    def test_strict_self_relation(self, tmp_path, capsys):
+        doc = "elements: a b\na < a\na < b\n"
+        with pytest.raises(InvalidDocument, match="line 2: '<' is strict"):
+            parse_poset_document(doc)
+        assert cli.main(["rank", write(tmp_path / "self.poset", doc)]) == 2
+        assert "line 2" in capsys.readouterr().err
+
     def test_unknown_name(self):
         with pytest.raises(Exception, match="unknown element"):
             parse_poset_document("elements: a b\na < c\n")

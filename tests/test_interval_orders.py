@@ -1,4 +1,6 @@
 import random
+import sys
+import types
 
 import pytest
 
@@ -194,6 +196,13 @@ class TestOrderRelationTable:
         assert t.strict_pairs() == frozenset({(0, 1)})
         assert t.to_poset().is_chain()
 
+    def test_strict_pairs_rejects_out_of_range(self):
+        ground = all_intervals(0, 2)
+        n = len(ground)
+        for pair in [(-1, 0), (0, -1), (0, n), (n, 0)]:
+            with pytest.raises(IndexError, match=f"out of range for {n} elements"):
+                OrderRelationTable.from_strict_pairs(ground, [pair])
+
 
 class TestConjugacy:
     def test_chain_vs_antichain(self):
@@ -337,6 +346,28 @@ class TestConjugateSearch:
                 assert all(t.ground == ground for t in got)
                 solutions += len(got)
         assert solutions > 1000
+
+    @pytest.mark.parametrize("hi,nodes", [(2, 47), (3, 385), (4, 2819)])
+    def test_search_node_counts(self, hi, nodes):
+        # Deciding a < b adds b and its whole up-set to the rows of a and of
+        # each element below a. A closure that adds only b still finds every
+        # solution, by branching on pairs it should have forced: it takes
+        # 50, 440 and 3,418 nodes.
+        dfs = next(c for c in _orientations.__code__.co_consts
+                   if isinstance(c, types.CodeType) and c.co_name == "dfs")
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            calls += event == "call" and frame.f_code is dfs
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            find_conjugates_of_strong(0, hi, max_ground=None)
+        finally:
+            sys.setprofile(previous)
+        assert calls == nodes
 
     def test_ground_budget(self):
         with pytest.raises(BudgetExceeded):

@@ -80,3 +80,8 @@ def test_images_are_validated(monkeypatch):
     with pytest.raises(CycleError, match="refused"):
         trace.stages[1].order
     assert checked == [3, 6, 5]
+    # A refused read leaves the stage's keys, so a later read builds it.
+    monkeypatch.undo()
+    fresh = iterate_to_chain(p).stages[1]
+    assert trace.stages[1].order == fresh.order
+    assert trace.stages[1].intervals == fresh.intervals
