@@ -40,6 +40,11 @@ class _Parser(argparse.ArgumentParser):
 
 # -- document I/O -----------------------------------------------------------
 
+def _valid_name(name: str) -> bool:
+    # One token that the reader cannot take for a comment, an elements line or '<'.
+    return name.split() == [name] and name != "<" and not name.startswith(("#", "elements:"))
+
+
 def format_poset_document(p: Poset) -> str:
     """The cover relation as a document that parse_poset_document reads back.
 
@@ -47,10 +52,10 @@ def format_poset_document(p: Poset) -> str:
     empty, contains whitespace, starts with '#' or 'elements:', or is '<'.
     """
     for name in p.labels:
-        if name.split() != [name] or name == "<" or name.startswith(("#", "elements:")):
+        if not _valid_name(name):
             raise InvalidDocument(f"label {name!r} cannot be written to a poset document")
     lines = ["# poset document", "elements: " + " ".join(p.labels)]
-    for a, b in sorted(p.covers().pairs):
+    for a, b in p.covers():
         lines.append(f"{p.labels[a]} < {p.labels[b]}")
     return "\n".join(lines) + "\n"
 
@@ -70,8 +75,9 @@ def parse_poset_document(text: str) -> Poset:
                 raise InvalidDocument(f"line {lineno}: empty element list")
             if len(set(names)) != len(names):
                 raise InvalidDocument(f"line {lineno}: duplicate element names")
-            if any(n == "<" for n in names):
-                raise InvalidDocument(f"line {lineno}: '<' is not a valid name")
+            bad = next((name for name in names if not _valid_name(name)), None)
+            if bad is not None:
+                raise InvalidDocument(f"line {lineno}: {bad!r} is not a valid name")
             continue
         parts = line.split()
         if len(parts) != 3 or parts[1] != "<":
@@ -138,7 +144,7 @@ def poset_to_dot(p: Poset, name: str = "poset") -> str:
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
     for label in p.labels:
         lines.append(f"  {q(label)};")
-    for a, b in sorted(p.covers().pairs):
+    for a, b in p.covers():
         lines.append(f"  {q(p.labels[a])} -> {q(p.labels[b])};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -218,7 +224,7 @@ def _cmd_conjugates(args) -> int:
     tables = find_conjugates_of_strong(args.lo, args.hi, limit=args.limit, max_ground=None)
     strong = OrderRelationTable.from_order(all_intervals(args.lo, args.hi), "strong")
     for i, t in enumerate(tables):
-        shown = ", ".join(f"{t.ground[a]}<{t.ground[b]}" for a, b in sorted(t.covers().pairs))
+        shown = ", ".join(f"{t.ground[a]}<{t.ground[b]}" for a, b in t.covers())
         print(f"order {i}: {shown if shown else '(no relations)'}")
         print(f"  conjugate: {'true' if are_conjugate(t, strong) else 'false'}")
     classes = group_conjugates_by_isomorphism(tables) if tables else []

@@ -8,7 +8,7 @@ from itertools import accumulate
 from operator import or_
 
 from .errors import BudgetExceeded, GroundMismatch
-from .poset import Poset, _bits
+from .poset import Poset, _bits, _close, _pair_rows
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,21 +146,12 @@ class OrderRelationTable(Poset):
         """Close generator index pairs over `ground`, as Poset.from_relation
         does over 0..n-1 (CycleError for a cycle, IndexError out of range)."""
         ground = tuple(ground)
-        return cls(ground, Poset.from_relation(len(ground), generators).rows)
+        return cls(ground, _close(_pair_rows(len(ground), generators), len(ground)))
 
     @classmethod
     def from_strict_pairs(cls, ground, pairs) -> "OrderRelationTable":
         ground = tuple(ground)
-        n = len(ground)
-        rows = [1 << i for i in range(n)]
-        for a, b in pairs:
-            if not (0 <= a < n and 0 <= b < n):
-                raise IndexError(f"pair ({a}, {b}) out of range for {n} elements")
-            rows[a] |= 1 << b
-        return cls(ground, tuple(rows))
-
-    def strict_pairs(self) -> frozenset[tuple[int, int]]:
-        return frozenset((i, j) for i in range(self.n) for j in _bits(self.strict_rows[i]))
+        return cls(ground, [r | 1 << i for i, r in enumerate(_pair_rows(len(ground), pairs))])
 
     def to_poset(self) -> Poset:
         return self

@@ -27,6 +27,21 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _pair_rows(n: int, pairs) -> list[int]:
+    # Bit b of rows[a] set for each pair (a, b); IndexError outside 0..n-1.
+    rows = [0] * n
+    for a, b in pairs:
+        if not (0 <= a < n and 0 <= b < n):
+            raise IndexError(f"pair ({a}, {b}) out of range for {n} elements")
+        rows[a] |= 1 << b
+    return rows
+
+
+def _row_pairs(rows):
+    # (i, j) for each bit j of rows[i], in sorted order.
+    return ((i, j) for i, row in enumerate(rows) for j in _bits(row))
+
+
 def _close(rows: list[int], n: int) -> list[int]:
     """Reflexive-transitive closure of bitset rows, Warshall style."""
     out = [rows[i] | (1 << i) for i in range(n)]
@@ -118,12 +133,7 @@ class Poset:
         """
         if n < 1:
             raise ValueError("a poset needs at least one element")
-        base = [0] * n
-        for a, b in generators:
-            if not (0 <= a < n and 0 <= b < n):
-                raise IndexError(f"pair ({a}, {b}) out of range for {n} elements")
-            base[a] |= 1 << b
-        rows = _close(base, n)
+        rows = _close(_pair_rows(n, generators), n)
         return cls(rows, labels, validate=len(set(rows)) < n)
 
     # -- basic queries -------------------------------------------------
@@ -186,8 +196,7 @@ class Poset:
 
     def covers(self) -> CoverRelation:
         """Transitive reduction as (lower, upper) pairs."""
-        return CoverRelation(frozenset(
-            (i, j) for i in range(self.n) for j in _bits(self.cover_rows[i])))
+        return CoverRelation(frozenset(_row_pairs(self.cover_rows)))
 
     # -- chains and heights ----------------------------------------------
 
@@ -335,8 +344,7 @@ class Poset:
         if self.top is None:
             raise UnboundedError("gradedness needs a top element")
         rho = [h - 1 for h in self.up_heights]
-        return all(rho[i] == rho[j] + 1
-                   for i in range(self.n) for j in _bits(self.cover_rows[i]))
+        return all(rho[i] == rho[j] + 1 for i, j in _row_pairs(self.cover_rows))
 
     def add_bounds(self) -> "Poset":
         """Adjoin a fresh bottom and top, even if the poset is already bounded."""
@@ -378,11 +386,14 @@ class Poset:
                 f"{self.labels[a]!r} is not below {self.labels[b]!r}")
         return SubsetView(self, tuple(_bits(self.rows[a] & self.down_rows[b])))
 
+    def strict_pairs(self) -> frozenset[tuple[int, int]]:
+        """Every related pair (a, b) with a < b in the order."""
+        return frozenset(_row_pairs(self.strict_rows))
+
     def comparability_graph(self) -> frozenset[tuple[int, int]]:
-        """Undirected edges between distinct comparable elements."""
-        return frozenset((i, j)
-                         for i in range(self.n) for j in range(i + 1, self.n)
-                         if self.comparable(i, j))
+        """Edges between distinct comparable elements, smaller index first."""
+        return frozenset((i, j) if i < j else (j, i)
+                         for i, j in _row_pairs(self.strict_rows))
 
     # -- isomorphism --------------------------------------------------------
 

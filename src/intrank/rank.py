@@ -17,7 +17,7 @@ from functools import cached_property
 
 from .errors import CapExceeded, RangeError, TooSmall, UnboundedError
 from .intervals import IntInterval, IntervalOrder, _endpoint_rows
-from .poset import Poset, _bits
+from .poset import Poset
 
 
 @dataclass(frozen=True)
@@ -61,12 +61,6 @@ def conjugate_rank(p: Poset) -> RankAssignment:
     return RankAssignment(p, ranks, 2 * (p.height() - 1))
 
 
-def _strict_pairs(p: Poset):
-    for a in range(p.n):
-        for b in _bits(p.strict_rows[a]):
-            yield a, b
-
-
 def classify_rank_function(f: RankAssignment) -> IntervalOrder | None:
     """Which interval order an assignment is strictly monotone into.
 
@@ -76,7 +70,7 @@ def classify_rank_function(f: RankAssignment) -> IntervalOrder | None:
     returns None. With no related pairs all four hold vacuously and the
     first match (dual-weak) is reported.
     """
-    pairs = list(_strict_pairs(f.poset))
+    pairs = f.poset.strict_pairs()
     r = f.ranks
     lo_iso = all(r[a].lo < r[b].lo for a, b in pairs)
     lo_anti = all(r[a].lo > r[b].lo for a, b in pairs)
@@ -96,7 +90,7 @@ def classify_rank_function(f: RankAssignment) -> IntervalOrder | None:
 def is_interval_rank_function(f: RankAssignment, order: IntervalOrder | str) -> bool:
     """True iff a < b always maps to f(a) strictly below f(b) in the order."""
     order = IntervalOrder(order)
-    return all(order.lt(f.ranks[a], f.ranks[b]) for a, b in _strict_pairs(f.poset))
+    return all(order.lt(f.ranks[a], f.ranks[b]) for a, b in f.poset.strict_pairs())
 
 
 @dataclass(frozen=True)

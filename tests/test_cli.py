@@ -113,6 +113,22 @@ class TestDocumentFormat:
         with pytest.raises(Exception, match="unknown element"):
             parse_poset_document("elements: a b\na < c\n")
 
+    def test_empty_element_list(self):
+        with pytest.raises(InvalidDocument, match="line 1: empty element list"):
+            parse_poset_document("elements:\n")
+
+    @pytest.mark.parametrize("bad", ["#a", "#", "elements:x", "<"])
+    def test_reader_refuses_what_the_writer_refuses(self, bad):
+        doc = f"elements: {bad} b\n{bad} < b\n"
+        with pytest.raises(InvalidDocument, match=f"^line 1: '{bad}' is not a valid name$"):
+            parse_poset_document(doc)
+        with pytest.raises(InvalidDocument, match="cannot be written"):
+            format_poset_document(Poset.from_relation(2, [(0, 1)], labels=(bad, "b")))
+
+    def test_unreadable_name_exits_2(self, tmp_path, capsys):
+        assert cli.main(["rank", write(tmp_path / "hash.poset", "elements: #a b\n#a < b\n")]) == 2
+        assert "'#a' is not a valid name" in capsys.readouterr().err
+
     def test_angle_bracket_name(self):
         with pytest.raises(Exception, match="not a valid name"):
             parse_poset_document("elements: a < b\n")

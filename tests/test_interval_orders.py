@@ -12,6 +12,7 @@ from intrank import (
     IntInterval,
     IntervalOrder,
     OrderRelationTable,
+    Poset,
     all_intervals,
     are_conjugate,
     are_pseudo_conjugate,
@@ -200,8 +201,14 @@ class TestOrderRelationTable:
         ground = all_intervals(0, 2)
         n = len(ground)
         for pair in [(-1, 0), (0, -1), (0, n), (n, 0)]:
-            with pytest.raises(IndexError, match=f"out of range for {n} elements"):
-                OrderRelationTable.from_strict_pairs(ground, [pair])
+            messages = set()
+            for build in (lambda: OrderRelationTable.from_strict_pairs(ground, [pair]),
+                          lambda: OrderRelationTable.from_relation(ground, [pair]),
+                          lambda: Poset.from_relation(n, [pair])):
+                with pytest.raises(IndexError, match=f"out of range for {n} elements") as err:
+                    build()
+                messages.add(str(err.value))
+            assert messages == {f"pair {pair} out of range for {n} elements"}
 
 
 class TestConjugacy:

@@ -198,6 +198,10 @@ class TestRankImage:
                     assert ra[e] == rp.intervals[i]
                     assert rp.block_index(e) == i
 
+    def test_block_index_outside_the_source(self):
+        with pytest.raises(LookupError, match="element 5 not in any block"):
+            rank_image(diamond()).block_index(5)
+
     def test_image_order_is_dual_weak_restriction(self, bounded_corpus):
         for p in bounded_corpus[:80]:
             rp = rank_image(p)

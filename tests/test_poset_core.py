@@ -31,8 +31,14 @@ class TestFromRelation:
             Poset.from_relation(3, [(0, 1), (1, 2), (2, 0)])
 
     def test_out_of_range_pair(self):
-        with pytest.raises(IndexError):
-            Poset.from_relation(2, [(0, 5)])
+        for pair in [(0, 5), (5, 0), (-1, 0), (0, -1)]:
+            with pytest.raises(IndexError) as err:
+                Poset.from_relation(2, [pair])
+            assert str(err.value) == f"pair {pair} out of range for 2 elements"
+
+    def test_needs_an_element(self):
+        with pytest.raises(ValueError, match="at least one element"):
+            Poset.from_relation(0, [])
 
     def test_closure_idempotent(self):
         p = Poset.from_relation(4, [(0, 1), (1, 2), (0, 3)])
@@ -60,6 +66,23 @@ class TestFromRelation:
             check_partial_order((0b011, 0b110, 0b100), 3)  # 0<1<2 but not 0<2
         with pytest.raises(CycleError):
             check_partial_order((0b11, 0b11), 2)
+
+    @pytest.mark.parametrize("rows", [(0b101, 0b10), (-1,)])
+    def test_row_bits_outside_the_elements(self, rows):
+        with pytest.raises(ValueError, match="relation bits out of range"):
+            Poset(rows)
+
+
+class TestDunders:
+    def test_len_and_repr(self):
+        assert len(chain(3)) == 3
+        assert repr(chain(3)) == "Poset(n=3, pairs=6)"
+
+    def test_equality_and_hash(self):
+        p, q = chain(3), Poset(chain(3).rows)
+        assert p == q and hash(p) == hash(q)
+        assert p.__eq__(p.rows) is NotImplemented
+        assert p != p.rows
 
 
 def relations(n, max_size=12):
@@ -161,6 +184,11 @@ class TestSubsetViews:
                 for view in (p.upset(a), p.downset(a), p.hourglass(a),
                              p.interval(p.bottom, a)):
                     assert view.height() == view.as_poset().height()
+
+    def test_len_and_contains(self):
+        view = chain(4).upset(2)
+        assert len(view) == 2
+        assert 3 in view and 1 not in view
 
     def test_as_poset_keeps_labels(self):
         p = n5()
@@ -398,3 +426,11 @@ class TestComparabilityGraph:
 
     def test_n5_edge_count(self):
         assert len(n5().comparability_graph()) == 8
+
+    def test_pairs_against_lt(self, free_posets_by_size):
+        for n in range(1, 6):
+            for p in free_posets_by_size[n]:
+                pairs = itertools.product(range(n), repeat=2)
+                lt = {(a, b) for a, b in pairs if p.lt(a, b)}
+                assert p.strict_pairs() == lt
+                assert p.comparability_graph() == {(min(e), max(e)) for e in lt}
