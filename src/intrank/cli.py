@@ -18,7 +18,7 @@ import tempfile
 
 from .errors import BudgetExceeded, IntrankError, InvalidDocument
 from .experiments import aggregate_by, linear_fit, log_fit, run_iteration_experiment, write_records_csv
-from .generate import _corpus, enumerate_bounded_posets, enumerate_posets
+from .generate import MODELS, _corpus, enumerate_bounded_posets, enumerate_posets
 from .intervals import OrderRelationTable, all_intervals, are_conjugate, find_conjugates_of_strong, group_conjugates_by_isomorphism
 from .poset import Poset
 from .rank import conjugate_rank, iterate_to_chain, standard_rank
@@ -271,8 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate poset documents into a directory")
-    gen.add_argument("--model", required=True,
-                     choices=["exhaustive", "random-graph", "random-kdim"])
+    gen.add_argument("--model", required=True, choices=MODELS)
     gen.add_argument("--n", type=int, required=True,
                      help="size (bounded size for exhaustive; core size for random models)")
     gen.add_argument("--p", type=float, default=0.5, help="edge probability (random-graph)")

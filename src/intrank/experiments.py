@@ -135,7 +135,7 @@ def log_fit(xs, ys) -> FitResult:
 
 def write_records_csv(records, path) -> None:
     """Write records with the fixed column schema."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for r in records:

@@ -92,23 +92,25 @@ def _endpoint_masks(keys: list[tuple[int, int]]) -> tuple[list[int], ...]:
             list(accumulate(at_hi, or_)), list(accumulate(at_hi[::-1], or_))[::-1])
 
 
-def _endpoint_rows(keys: list[tuple[int, int]], *orders: IntervalOrder) -> list[list[int]]:
-    """One row list per order: bit j of row i is set iff keys[i] <= keys[j].
+# Each dominance order as the directions of its lo and hi endpoints: for
+# x <= y, +1 means y's endpoint is at least x's, -1 at most. Strong has none.
+_DIRECTIONS = {IntervalOrder.DUAL_WEAK: (-1, -1), IntervalOrder.WEAK: (1, 1),
+               IntervalOrder.SUBSET: (-1, 1), IntervalOrder.SUPERSET: (1, -1)}
 
-    The four dominance orders AND one mask per endpoint. Strong sets bit i
-    and the keys whose lo exceeds keys[i]'s hi, so its keys must be distinct.
+
+def _endpoint_rows(keys: list[tuple[int, int]], order: IntervalOrder) -> list[int]:
+    """Bit j of row i is set iff keys[i] <= keys[j] in the order.
+
+    A dominance order ANDs the masks of its two endpoint directions. Strong
+    sets bit i and the keys whose lo exceeds keys[i]'s hi, so its keys must
+    be distinct.
     """
     le_lo, ge_lo, le_hi, ge_hi = _endpoint_masks(keys)
-    sides = {IntervalOrder.WEAK: (ge_lo, ge_hi), IntervalOrder.DUAL_WEAK: (le_lo, le_hi),
-             IntervalOrder.SUBSET: (le_lo, ge_hi), IntervalOrder.SUPERSET: (ge_lo, le_hi)}
-    out = []
-    for order in orders:
-        if order is IntervalOrder.STRONG:
-            out.append([1 << i | ge_lo[hi + 1] for i, (_, hi) in enumerate(keys)])
-        else:
-            lo_masks, hi_masks = sides[order]
-            out.append([lo_masks[lo] & hi_masks[hi] for lo, hi in keys])
-    return out
+    if order is IntervalOrder.STRONG:
+        return [1 << i | ge_lo[hi + 1] for i, (_, hi) in enumerate(keys)]
+    d_lo, d_hi = _DIRECTIONS[order]
+    lo_masks, hi_masks = ge_lo if d_lo > 0 else le_lo, ge_hi if d_hi > 0 else le_hi
+    return [lo_masks[lo] & hi_masks[hi] for lo, hi in keys]
 
 
 def _ground_keys(ground: tuple[IntInterval, ...]) -> list[tuple[int, int]]:
@@ -134,12 +136,13 @@ class OrderRelationTable(Poset):
 
     @classmethod
     def from_order(cls, ground, order: IntervalOrder | str) -> "OrderRelationTable":
-        # Bit j of rows[i] is set iff ground[i] <= ground[j] in the order.
+        """The table of an interval order over distinct ground intervals:
+        bit j of rows[i] is set iff ground[i] <= ground[j] in the order."""
         ground = tuple(ground)
         order = IntervalOrder(order)
         if len(set(ground)) != len(ground):
             raise ValueError("ground intervals must be distinct")
-        return cls(ground, _endpoint_rows(_ground_keys(ground), order)[0])
+        return cls(ground, _endpoint_rows(_ground_keys(ground), order))
 
     @classmethod
     def from_relation(cls, ground, generators) -> "OrderRelationTable":

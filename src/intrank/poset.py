@@ -536,7 +536,12 @@ class SubsetView:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "members", tuple(sorted(set(self.members))))
+        members = tuple(sorted(set(self.members)))
+        n = self.parent.n
+        for e in members:
+            if not 0 <= e < n:
+                raise IndexError(f"element {e} out of range for {n} elements")
+        object.__setattr__(self, "members", members)
 
     def __len__(self) -> int:
         return len(self.members)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import CapExceeded, RangeError, TooSmall, UnboundedError
-from .intervals import IntInterval, IntervalOrder, _endpoint_rows
+from .intervals import _DIRECTIONS, IntInterval, IntervalOrder, OrderRelationTable, _endpoint_rows
 from .poset import Poset
 
 
@@ -39,14 +39,18 @@ def _require_rankable(p: Poset) -> None:
         raise UnboundedError("rank operators need a bottom and a top element")
 
 
-def _endpoints(p: Poset, conjugate: bool) -> list[tuple[int, int]]:
-    # (lo, hi) of each element's standard or conjugate rank.
-    _require_rankable(p)
-    h = p.height()
-    up, down = p.up_heights, p.down_heights
+def _ranks(up, down, conjugate: bool = False) -> list[tuple[int, int]]:
+    # (lo, hi) of each element's standard or conjugate rank, from its up and
+    # down chain heights; the largest up height is the height h.
+    h = max(up)
     if conjugate:
-        return [(up[a] - 1, h + down[a] - 2) for a in range(p.n)]
-    return [(up[a] - 1, h - down[a]) for a in range(p.n)]
+        return [(u - 1, h + d - 2) for u, d in zip(up, down)]
+    return [(u - 1, h - d) for u, d in zip(up, down)]
+
+
+def _endpoints(p: Poset, conjugate: bool) -> list[tuple[int, int]]:
+    _require_rankable(p)
+    return _ranks(p.up_heights, p.down_heights, conjugate)
 
 
 def standard_rank(p: Poset) -> RankAssignment:
@@ -64,27 +68,18 @@ def conjugate_rank(p: Poset) -> RankAssignment:
 def classify_rank_function(f: RankAssignment) -> IntervalOrder | None:
     """Which interval order an assignment is strictly monotone into.
 
-    Checks the two endpoint maps over every related pair: both strictly
-    antitone means dual-weak, both strictly isotone means weak, lo antitone
-    with hi isotone means subset, the reverse means superset; anything else
+    Checks the two endpoint maps over every related pair against each
+    order's endpoint directions, in turn: both strictly antitone means
+    dual-weak, both strictly isotone means weak, lo antitone with hi
+    isotone means subset, the reverse means superset; anything else
     returns None. With no related pairs all four hold vacuously and the
     first match (dual-weak) is reported.
     """
     pairs = f.poset.strict_pairs()
     r = f.ranks
-    lo_iso = all(r[a].lo < r[b].lo for a, b in pairs)
-    lo_anti = all(r[a].lo > r[b].lo for a, b in pairs)
-    hi_iso = all(r[a].hi < r[b].hi for a, b in pairs)
-    hi_anti = all(r[a].hi > r[b].hi for a, b in pairs)
-    if lo_anti and hi_anti:
-        return IntervalOrder.DUAL_WEAK
-    if lo_iso and hi_iso:
-        return IntervalOrder.WEAK
-    if lo_anti and hi_iso:
-        return IntervalOrder.SUBSET
-    if lo_iso and hi_anti:
-        return IntervalOrder.SUPERSET
-    return None
+    return next((order for order, (d_lo, d_hi) in _DIRECTIONS.items()
+                 if all(d_lo * (r[b].lo - r[a].lo) > 0 and d_hi * (r[b].hi - r[a].hi) > 0
+                        for a, b in pairs)), None)
 
 
 def is_interval_rank_function(f: RankAssignment, order: IntervalOrder | str) -> bool:
@@ -101,8 +96,8 @@ class RankPoset:
     extension of the image order (image bottom first); `blocks[i]` are the
     source elements whose rank is keys[i]. `conjugate` picks the image
     order: containment for conjugate ranks, dual-weak otherwise.
-    `intervals` and `order` are built from the keys when first read, and
-    the order is validated then.
+    `intervals` and `order`, an OrderRelationTable over the intervals, are
+    built from the keys when first read, and the order is validated then.
     """
 
     keys: tuple[tuple[int, int], ...]
@@ -116,9 +111,9 @@ class RankPoset:
     @cached_property
     def order(self) -> Poset:
         # Rank endpoints are at most 2n, so they index the endpoint masks directly.
-        [rows] = _endpoint_rows(self.keys, IntervalOrder.SUBSET if self.conjugate
-                                else IntervalOrder.DUAL_WEAK)
-        return Poset(rows, tuple(str(iv) for iv in self.intervals))
+        rows = _endpoint_rows(self.keys, IntervalOrder.SUBSET if self.conjugate
+                              else IntervalOrder.DUAL_WEAK)
+        return OrderRelationTable(self.intervals, rows)
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -180,8 +175,9 @@ def rank_all(p: Poset) -> Poset:
     standard rank of b in both endpoints-at-least senses (dual-weak).
     Labels are preserved; the result always extends the original order.
     """
-    up, down = _endpoint_rows(_endpoints(p, False), IntervalOrder.DUAL_WEAK,
-                              IntervalOrder.WEAK)
+    keys = _endpoints(p, False)
+    up = _endpoint_rows(keys, IntervalOrder.DUAL_WEAK)
+    down = _endpoint_rows(keys, IntervalOrder.WEAK)
     # Equal ranks relate both ways, so up & down is exactly the equal ranks.
     return Poset([up[a] & ~down[a] | 1 << a for a in range(p.n)], p.labels)
 
@@ -264,9 +260,7 @@ def iterate_to_chain(p: Poset) -> IterationTrace:
             break
         if len(stages) >= p.n:
             raise CapExceeded(f"no chain after {p.n} iterations")
-        up, down = _key_heights(keys)
-        h = max(up)
-        keys, blocks = _group([(u - 1, h - d) for u, d in zip(up, down)])
+        keys, blocks = _group(_ranks(*_key_heights(keys)))
         stage = RankPoset(keys, blocks)
         stages.append(stage)
     # The final keys list the chain bottom first; descending, top first.

@@ -17,6 +17,8 @@ from intrank.cli import (
 )
 from oracles import brute_iteration_stages
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
 N5_DOC = """\
 # five elements, one short side
 elements: BOT x y z TOP
@@ -523,7 +525,23 @@ class TestWriteAtomic:
 
 
 def test_import_does_not_load_numpy():
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = "import sys, intrank, intrank.cli; assert 'numpy' not in sys.modules"
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_no_default_encoding(tmp_path):
+    # Every file the CLI writes or reads names its encoding: each command
+    # runs clean with a default-encoding open turned into an error.
+    env = dict(os.environ, PYTHONPATH=SRC)
+    corpus, dot = tmp_path / "corpus", tmp_path / "dot"
+    for args in (["gen", "--model", "exhaustive", "--n", "5", "--out", str(corpus)],
+                 ["iterate", str(corpus / "poset_00003.poset"), "--trace", "--dot", str(dot)],
+                 ["stats", "--corpus", str(corpus), "--group", "height",
+                  "--csv", str(tmp_path / "records.csv"), "--fit", "linear"]):
+        done = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-c", "from intrank.cli import entry; entry()", *args],
+            env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, ""), f"{args}: {done.stderr}"
+    assert (tmp_path / "records.csv").read_text(encoding="utf-8").startswith("poset_id,")

@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import (antichain, boolean_lattice, bounded_chains, chain, crowns, cube3,
                       diamond, n5, standard_example)
-from intrank import CycleError, NotComparable, Poset, UnboundedError
+from intrank import CycleError, NotComparable, Poset, SubsetView, UnboundedError
 from intrank.poset import check_partial_order
 
 
@@ -195,6 +197,15 @@ class TestSubsetViews:
         sub = p.downset(p.index("y")).as_poset()
         assert set(sub.labels) == {"BOT", "x", "y"}
 
+    @pytest.mark.parametrize("members", [(-1,), (3,), (0, 1, 3)])
+    def test_members_out_of_range(self, members):
+        # as_poset builds without validation, and height() shifts by each
+        # member, so a member outside 0..n-1 is refused when the view is made.
+        bad = members[0] if members[0] < 0 else members[-1]
+        with pytest.raises(IndexError) as err:
+            SubsetView(chain(3), members)
+        assert str(err.value) == f"element {bad} out of range for 3 elements"
+
 
 class TestHeightWidth:
     @pytest.mark.parametrize("n", [1, 2, 5])
@@ -343,6 +354,19 @@ class TestShapeOps:
                         assert p.down_heights[a] < p.down_heights[b]
 
 
+# Block designs and graphs, as blocks of points (edges of vertices), for
+# incidence posets: points below the blocks that hold them.
+FANO = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
+AG23 = sorted({tuple(sorted(3 * ((t * dx + x) % 3) + (t * dy + y) % 3 for t in range(3)))
+               for dx, dy in ((0, 1), (1, 0), (1, 1), (1, 2)) for x in range(3) for y in range(3)})
+PETERSEN = ([(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+CUBE = [(a, b) for a in range(8) for b in range(a + 1, 8) if (a ^ b).bit_count() == 1]
+K33 = [(a, b) for a in range(3) for b in range(3, 6)]
+K4 = list(itertools.combinations(range(4), 2))
+K5 = list(itertools.combinations(range(5), 2))
+
+
 class TestIsomorphism:
     def test_relabelled_diamond(self):
         q = Poset.from_relation(4, [(2, 0), (2, 3), (0, 1), (3, 1)])
@@ -414,6 +438,33 @@ class TestIsomorphism:
         # of maximal elements; only the search tells them apart
         forms = {crowns(*sizes).canonical_form() for sizes in [(6,), (3, 3), (4, 4), (8,)]}
         assert len(forms) == 4
+
+    @pytest.mark.parametrize("points,blocks,nodes", [
+        (7, FANO, 13), (9, AG23, 13), (10, PETERSEN, 10), (8, CUBE, 7),
+        (6, K33, 12), (4, K4, 7), (5, K5, 12),
+    ], ids=["fano", "ag23", "petersen", "cube", "k33", "k4", "k5"])
+    def test_search_node_counts(self, points, blocks, nodes):
+        # Incidence posets are vertex- and block-transitive, so the search
+        # skips each member in the orbit, under the automorphisms fixing the
+        # path, of one already tried. With no orbit pruning it takes 35, 56,
+        # 53, 28, 35, 16 and 42 nodes.
+        p = Poset.from_relation(points + len(blocks),
+                                [(x, points + k) for k, blk in enumerate(blocks) for x in blk])
+        search = next(c for c in Poset._canonical.func.__code__.co_consts
+                      if isinstance(c, types.CodeType) and c.co_name == "search")
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            calls += event == "call" and frame.f_code is search
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            p.canonical_form()
+        finally:
+            sys.setprofile(previous)
+        assert calls == nodes
 
 
 class TestComparabilityGraph:

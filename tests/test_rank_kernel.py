@@ -89,6 +89,6 @@ def test_large_random_graph(n):
 def test_key_kernel_matches_induced_poset(keys):
     # Stage keys are distinct and listed descending, as _image lists them.
     keys = sorted(keys, reverse=True)
-    p = Poset(_endpoint_rows(keys, IntervalOrder.DUAL_WEAK)[0])
+    p = Poset(_endpoint_rows(keys, IntervalOrder.DUAL_WEAK))
     assert tuple(map(tuple, _key_heights(keys))) == brute_heights(p)
     assert _key_chain(keys) == brute_is_chain(p)
