@@ -8,14 +8,16 @@ seed of its i-th poset as ``seed + i`` so corpora are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 
 import random
 
 from .errors import BudgetExceeded
 from .poset import Poset, _bits
 
-ENUM_MAX_FREE = 7
-ENUM_MAX_BOUNDED = 9
+ENUM_MAX_FREE = 8
+ENUM_MAX_BOUNDED = 10
 
 MODELS = ("exhaustive", "random-graph", "random-kdim")
 
@@ -43,18 +45,18 @@ class GenConfig:
 
 
 def _order_ideals(q: Poset) -> list[int]:
-    # Bottom up over a linear extension (down-sets grow along <, ties by
-    # index): e joins each ideal already built that holds its strict
-    # down-set and, if e has a twin of lower index, the nearest one. So an
-    # ideal holds each class of twins as a prefix.
-    strict, below = q.strict_rows, q.strict_down_rows
-    last: dict = {}
+    # Bottom up over a linear extension (down-sets grow along <): e joins
+    # each ideal already built that holds its strict down-set and, if e
+    # has a twin of lower index, the nearest one. So an ideal holds each
+    # class of twins as a prefix.
+    below = q.strict_down_rows
+    need = list(below)
+    for t in q._twin_classes():
+        for e in _bits(t & (t - 1)):
+            need[e] |= 1 << (t & ((1 << e) - 1)).bit_length() - 1
     ideals = [0]
     for e in sorted(range(q.n), key=lambda e: below[e].bit_count()):
-        key = (strict[e], below[e])
-        need = below[e] | last.get(key, 0)
-        last[key] = 1 << e
-        ideals += [m | 1 << e for m in ideals if not need & ~m]
+        ideals += [m | 1 << e for m in ideals if not need[e] & ~m]
     return ideals
 
 
@@ -73,49 +75,100 @@ def _extend_with_maximal(q: Poset, ideal: int) -> Poset:
     return child
 
 
+def _ideal_orbits(q: Poset) -> list[int]:
+    # One order ideal of q per orbit of Aut q. The twin-prefix ideals stand
+    # one for each orbit of the swaps of twins; the first of each is kept,
+    # and its orbit is closed under the automorphisms the canonical search
+    # found, each image put back in twin-prefix form.
+    q.canonical_form()
+    autos = q._canonical[2]
+    ideals = _order_ideals(q)
+    if not autos:
+        return ideals
+    prefixes = [(t, list(accumulate((1 << e for e in _bits(t)), or_, initial=0)))
+                for t in q._twin_classes() if t & (t - 1)]
+    kept, seen = [], set()
+    for m in ideals:
+        if m in seen:
+            continue
+        kept.append(m)
+        seen.add(m)
+        stack = [m]
+        while stack:
+            ideal = stack.pop()
+            for g in autos:
+                image = 0
+                for x in _bits(ideal):
+                    image |= 1 << g[x]
+                for t, prefix in prefixes:
+                    image = image & ~t | prefix[(image & t).bit_count()]
+                if image not in seen:
+                    seen.add(image)
+                    stack.append(image)
+    return kept
+
+
+def _augment(q: Poset, n: int):
+    # Depth-first canonical augmentation (McKay, 1998): yield the children
+    # of q, one per orbit of its order ideals, whose new maximal element v
+    # is a canonical deletion, each grown to n elements. The canonical
+    # deletions are the maximal elements with the largest down-set and,
+    # among those, the largest down-height; if that leaves more than v and
+    # its twins (which share v's orbit), they are the orbit of the one
+    # latest in the child's canonical order.
+    if q.n == n:
+        yield q
+        return
+    sizes = [d.bit_count() for d in q.down_rows]
+    heights, below = q.down_heights, q.strict_down_rows
+    tops = [e for e in range(q.n) if q.rows[e] == 1 << e]
+    for ideal in _ideal_orbits(q):
+        size = ideal.bit_count() + 1
+        tied = [e for e in tops if not ideal >> e & 1 and sizes[e] >= size]
+        if tied:
+            height = 1 + max((heights[e] for e in _bits(ideal)), default=0)
+            if any(sizes[e] > size or heights[e] > height for e in tied):
+                continue
+            tied = [e for e in tied if heights[e] == height]
+        child = _extend_with_maximal(q, ideal)
+        if any(below[e] != ideal for e in tied):
+            child.canonical_form()
+            last = max(tied + [q.n], key=child._canonical[1].index)
+            if not any(m >> last & 1 and m >> q.n & 1 for m in child._orbits()):
+                continue
+        yield from _augment(child, n)
+
+
 def enumerate_posets(n: int) -> list[Poset]:
     """All posets on n elements, one representative per isomorphism class.
 
-    Grown level by level: every poset arises from deleting a maximal
-    element, so extending each (n-1)-element representative by a new
-    maximal element above each order ideal reaches every class. It still
-    does under two prunings:
+    Generated depth-first by canonical augmentation (McKay, *Isomorph-free
+    exhaustive generation*, 1998): every poset arises from deleting a
+    maximal element, so extending each (n-1)-element representative by a
+    new maximal element v above each order ideal reaches every class. Two
+    rules make each class arise once:
 
-    - swapping twins (elements with equal strict up- and down-sets) is an
-      automorphism, so only ideals that hold a prefix, by index, of each
-      twin class are generated. Each comes first in its orbit, so the first
-      extension found in each class, the one kept, is the same as without;
-    - an extension is built only when its new element has a largest
-      down-set among the maximal elements (McKay's canonical deletion, as
-      a pre-test): deleting such an element from any poset of the class
-      leaves a poset isomorphic to a representative.
+    - only one ideal per orbit of the representative's automorphism group
+      is taken. The orbits come from the automorphisms its canonical
+      search finds and the swaps of twins (elements with equal strict up-
+      and down-sets), so only ideals holding a prefix, by index, of each
+      twin class are built;
+    - a child is kept iff v is a canonical deletion: among the maximal
+      elements whose down-set is largest, then whose down-height is
+      largest, v lies in the orbit of the one that comes last in the
+      child's canonical order. Most children are decided before they are
+      built: v has a larger down-set or down-height than another maximal
+      element, or every element tied with it is its twin. Only the
+      remaining ones are searched.
 
-    Each extension inherits its parent's down-rows and down-heights.
-    Duplicates are removed through canonical forms, and the list is sorted
-    by them. Budget stops at n = 7.
+    Each child inherits its parent's down-rows and down-heights. The list
+    comes in generation order. Budget stops at n = 8.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if n > ENUM_MAX_FREE:
         raise BudgetExceeded(f"enumeration supports up to {ENUM_MAX_FREE} elements")
-    level = {Poset((1,)).canonical_form(): Poset((1,))}
-    for _ in range(n - 1):
-        grown: dict[tuple, Poset] = {}
-        for q in level.values():
-            sizes = [d.bit_count() for d in q.down_rows]
-            tops = [e for e in range(q.n) if q.rows[e] == 1 << e]
-            for ideal in _order_ideals(q):
-                # The new element's down-set must be as large as that of
-                # every other maximal element of the child.
-                size = ideal.bit_count() + 1
-                if any(sizes[e] > size for e in tops if not ideal >> e & 1):
-                    continue
-                cand = _extend_with_maximal(q, ideal)
-                key = cand.canonical_form()
-                if key not in grown:
-                    grown[key] = cand
-        level = grown
-    return [level[key] for key in sorted(level)]
+    return list(_augment(Poset((1,)), n))
 
 
 def enumerate_bounded_posets(size: int) -> list[Poset]:

@@ -6,7 +6,7 @@ set iff i <= j. Derived structure (covers, chain heights, canonical form)
 is computed lazily and cached, and instances are treated as immutable
 after construction.
 
-Sizes of interest stay small (enumeration stops at 7 unbounded / 9
+Sizes of interest stay small (enumeration stops at 8 unbounded / 10
 bounded elements), so every algorithm here favours bitset row operations
 over asymptotic cleverness.
 """
@@ -25,6 +25,18 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _closure(mask: int, perms) -> int:
+    # The least superset of mask that each permutation (an image list)
+    # maps into itself.
+    grown = 0
+    while grown != mask:
+        grown = mask
+        for g in perms:
+            for x in _bits(grown):
+                mask |= 1 << g[x]
+    return mask
 
 
 def _pair_rows(n: int, pairs) -> list[int]:
@@ -429,7 +441,7 @@ class Poset:
         return cells
 
     @cached_property
-    def _canonical(self) -> tuple[int, tuple[int, ...]]:
+    def _canonical(self) -> tuple[tuple[int, tuple[int, ...]], list[int], list[list[int]]]:
         # Individualization-refinement (McKay & Piperno, 2014). Colours start
         # from the chain heights and are refined to an equitable partition;
         # a cell that is neither a singleton nor a class of twins (members
@@ -439,7 +451,9 @@ class Poset:
         # row tuple over the leaves. Two leaves with equal rows give an
         # automorphism: the search returns to where their paths part, and
         # skips members in the orbit of those already tried under the
-        # automorphisms fixing the path. Only the form is kept.
+        # automorphisms fixing the path. The form is kept with the order of
+        # the least leaf (the canonical order) and the automorphisms found,
+        # as image lists; with the swaps of twins they generate Aut P.
         n, rows, down = self.n, self.rows, self.down_rows
         seed: dict = {}
         for i, key in enumerate(zip(self.up_heights, self.down_heights)):
@@ -497,19 +511,13 @@ class Poset:
                               path + [v])
                 if jump is not None and jump < len(path):
                     return jump
-                tried |= bit
                 fixing = [g for g in autos if all(g[p] == p for p in path)]
-                grown = 0
-                while grown != tried:
-                    grown = tried
-                    for g in fixing:
-                        for x in _bits(grown):
-                            tried |= 1 << g[x]
+                tried = _closure(tried | bit, fixing)
             return None
 
         cells = [seed[k] for k in sorted(seed)]
         search(cells, cells, [])
-        return (n, found[1][0])
+        return (n, found[1][0]), found[1][1], autos
 
     def canonical_form(self) -> tuple[int, tuple[int, ...]]:
         """A relabelling-invariant encoding of the relation: (n, rows).
@@ -522,7 +530,29 @@ class Poset:
         over separate runs were 26-42 ms for the boolean lattice 2^7 and
         1.5-3.1 ms for the standard example S_9.
         """
-        return self._canonical
+        return self._canonical[0]
+
+    def _twin_classes(self) -> list[int]:
+        # Classes of twins (equal strict up- and down-sets) as element
+        # masks, by least member.
+        classes: dict = {}
+        for e, key in enumerate(zip(self.strict_rows, self.strict_down_rows)):
+            classes[key] = classes.get(key, 0) | 1 << e
+        return list(classes.values())
+
+    def _orbits(self) -> list[int]:
+        """The orbits of Aut P as element masks, by least member.
+
+        Each is the closure of a class of twins under the automorphisms the
+        canonical search found.
+        """
+        autos = self._canonical[2]
+        orbits, seen = [], 0
+        for t in self._twin_classes():
+            if not t & seen:
+                orbits.append(_closure(t, autos))
+                seen |= orbits[-1]
+        return orbits
 
     def is_isomorphic(self, other: "Poset") -> bool:
         return self.n == other.n and self.canonical_form() == other.canonical_form()

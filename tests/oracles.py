@@ -365,6 +365,34 @@ def brute_canonical_form(p: Poset) -> tuple:
     return (p.n, best)
 
 
+def brute_automorphisms(p: Poset) -> list:
+    """Every relabelling that maps the order onto itself: each perm with
+    bit perm[j] of row perm[i] set iff i <= j, over all n! of them."""
+    ups = [[j for j in range(p.n) if p.leq(i, j)] for i in range(p.n)]
+    out = []
+    for perm in permutations(range(p.n)):
+        if all(sum(1 << perm[j] for j in ups[i]) == p.rows[perm[i]] for i in range(p.n)):
+            out.append(perm)
+    return out
+
+
+def brute_orbits(p: Poset) -> set:
+    """The orbits of the automorphism group, as frozensets of elements."""
+    autos = brute_automorphisms(p)
+    return {frozenset(g[e] for g in autos) for e in range(p.n)}
+
+
+def brute_ideal_orbits(p: Poset) -> set:
+    """The orbits of the automorphism group on the order ideals (subsets
+    holding everything below each member), as frozensets of masks."""
+    ideals = [m for m in range(1 << p.n)
+              if all(not m >> j & 1 or all(m >> i & 1 for i in range(p.n) if p.leq(i, j))
+                     for j in range(p.n))]
+    autos = brute_automorphisms(p)
+    return {frozenset(sum(1 << g[e] for e in range(p.n) if m >> e & 1) for g in autos)
+            for m in ideals}
+
+
 def relabel(p: Poset, perm) -> Poset:
     """The same order with element i renamed perm[i]."""
     rows = [0] * p.n

@@ -39,19 +39,22 @@ def test_candidate_counter_target_exists():
     assert callable(getattr(generate, "_extend_with_maximal", None))
 
 
-def test_enumeration_builds_checks_and_keys_every_candidate(monkeypatch):
+def test_enumeration_checks_every_candidate_and_keys_every_parent(monkeypatch):
     # The bench's CALLED_ON table expects poset.check_partial_order and
     # poset.canonical_form on the enumerate workload, and counts candidates
-    # at generate._extend_with_maximal.
+    # at generate._extend_with_maximal. Every candidate is built there and
+    # checked once on its rows; every poset that is extended is keyed
+    # through canonical_form, whose search gives its automorphisms.
     generate = importlib.import_module("intrank.generate")
     poset = importlib.import_module("intrank.poset")
-    built, checked, keyed = [], [], []
+    parents, built, checked, keyed = [], [], [], []
     extend, check = generate._extend_with_maximal, poset.check_partial_order
     canonical_form = poset.Poset.canonical_form
 
-    def extend_spy(*args):
+    def extend_spy(q, ideal):
         before = len(checked)
-        built.append(extend(*args))
+        parents.append(q)
+        built.append(extend(q, ideal))
         assert checked[before:] == [built[-1].rows]
         return built[-1]
 
@@ -67,8 +70,8 @@ def test_enumeration_builds_checks_and_keys_every_candidate(monkeypatch):
     monkeypatch.setattr(poset, "check_partial_order", check_spy)
     monkeypatch.setattr(poset.Poset, "canonical_form", key_spy)
     assert len(generate.enumerate_posets(4)) == 16
-    assert built
-    assert {id(p) for p in built} <= {id(p) for p in keyed}
+    assert len(built) >= 16
+    assert {id(q) for q in parents} <= {id(p) for p in keyed}
 
 
 def test_isomorphism_grouping_reads_up_heights(monkeypatch):

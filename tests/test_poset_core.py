@@ -385,6 +385,14 @@ class TestIsomorphism:
             for perm in itertools.permutations(range(p.n)):
                 assert oracles.relabel(p, perm).canonical_form() == p.canonical_form()
 
+    def test_orbits_match_oracle(self, free_posets_by_size):
+        # The search's automorphisms with the swaps of twins give the orbits
+        # of the whole group, for every class up to six elements.
+        for ps in free_posets_by_size.values():
+            for p in ps:
+                got = {frozenset(e for e in range(p.n) if m >> e & 1) for m in p._orbits()}
+                assert got == oracles.brute_orbits(p)
+
     def test_distinct_classes_have_distinct_forms(self, free_posets_by_size):
         forms = {p.canonical_form() for p in free_posets_by_size[5]}
         assert len(forms) == len(free_posets_by_size[5])

@@ -21,15 +21,30 @@ from intrank import (
 
 FREE_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63}
 
-# sha256 of repr([p.rows for p in enumerate_posets(n)]) before twin pruning;
-# these rows are what `gen --model exhaustive` writes.
+# sha256 of repr([p.rows for p in enumerate_posets(n)]), the representatives
+# canonical augmentation generates, in its order; these rows are what
+# `gen --model exhaustive` writes.
 REPRESENTATIVE_DIGESTS = {
-    5: "2cf3af4d2ad2a13fd70c88ee3fd0125af6dd67600e9cb6df9a524e3f793dff0b",
-    6: "73fd0c703bce1dce993670154c67c33f03a485e7d0726c7766071546d1df4e81",
-    7: "1fd8c4e2fe8408c9a59a68f5346937d599aa8c4bf4df3ca3914d7dd632731e9f",
+    5: "176ae17935a1c5c1792c3b9e24604e69cb4b540a8379a63bd03e849f05201f13",
+    6: "b91442f04d164f1db6e6f090f20caf8d49072e062ef9222f428055039c4abe29",
+    7: "0dabfe8436e669ea0ef3abbf6621004a739a1ccd8abf6cf1b50a7800c4c2def1",
+}
+
+# sha256 of repr(sorted(p.canonical_form() for p in enumerate_posets(n))):
+# the class set, recorded from the dedup-by-canonical-form enumeration.
+CLASS_SET_DIGESTS = {
+    5: "d5a50b2a81070a9c5065cb8d18be758e3adc8e4c08fe83b1856b04f63a325319",
+    6: "b7e960b005edd90a3f940823bf1aaf0c4eb285f891f1f49b2e02bd94697da172",
+    7: "da84bc805d56551910bb197ac3d76be6147abfa2972fecf7d4a0abd2eca5f63b",
+    8: "fb155e93367906e8fd497bc54970fbf64cc65c5e133f8295f3b81980f404f6f3",
 }
 
 gen_module = importlib.import_module("intrank.generate")
+
+
+@pytest.fixture(scope="module")
+def eight():
+    return enumerate_posets(8)
 
 
 def graph_cfg(n, p, seed, add_bounds=True):
@@ -71,17 +86,32 @@ class TestExhaustiveEnumeration:
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
-            enumerate_posets(8)
+            enumerate_posets(9)
 
     @pytest.mark.parametrize("n", sorted(REPRESENTATIVE_DIGESTS))
     def test_representatives_pinned(self, n):
         rows = repr([p.rows for p in enumerate_posets(n)])
         assert hashlib.sha256(rows.encode()).hexdigest() == REPRESENTATIVE_DIGESTS[n]
 
-    def test_eight_elements_past_the_budget(self, monkeypatch):
-        # OEIS A000112; the budget itself stays at 7.
-        monkeypatch.setattr(gen_module, "ENUM_MAX_FREE", 8)
-        assert len(enumerate_posets(8)) == 16999
+    @pytest.mark.parametrize("n", sorted(CLASS_SET_DIGESTS))
+    def test_class_sets_pinned(self, n, eight):
+        ps = eight if n == 8 else enumerate_posets(n)
+        forms = repr(sorted(p.canonical_form() for p in ps))
+        assert hashlib.sha256(forms.encode()).hexdigest() == CLASS_SET_DIGESTS[n]
+
+    def test_eight_elements_at_the_budget(self, eight):
+        # OEIS A000112
+        assert len(eight) == 16999
+
+    def test_kept_ideals_one_per_orbit(self, free_posets_by_size):
+        # Against the orbits of the order ideals under every automorphism:
+        # the ideals a representative is extended by meet each exactly once.
+        for n in range(1, 6):
+            for q in free_posets_by_size[n]:
+                kept = gen_module._ideal_orbits(q)
+                orbits = oracles.brute_ideal_orbits(q)
+                assert all(sum(m in orbit for m in kept) == 1 for orbit in orbits)
+                assert len(kept) == len(orbits)
 
     def test_order_ideals_hold_a_prefix_of_each_twin_class(self, free_posets_by_size):
         # Against every mask: the order ideals that hold, in each class of
@@ -152,7 +182,7 @@ class TestBoundedEnumeration:
         with pytest.raises(ValueError):
             enumerate_bounded_posets(2)
         with pytest.raises(BudgetExceeded):
-            enumerate_bounded_posets(10)
+            enumerate_bounded_posets(11)
 
     def test_cores_plus_bounds(self):
         # stripping the fresh bounds recovers exactly the free posets
