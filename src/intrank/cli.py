@@ -84,14 +84,15 @@ def parse_poset_document(text: str) -> Poset:
             raise InvalidDocument(f"line {lineno}: expected 'NAME < NAME'")
         if parts[0] == parts[2]:
             raise InvalidDocument(f"line {lineno}: '<' is strict, so {line!r} is invalid")
-        pairs.append((parts[0], parts[2]))
+        pairs.append((lineno, parts[0], parts[2]))
     if names is None:
         raise InvalidDocument("missing elements line")
     index = {name: i for i, name in enumerate(names)}
     gens = []
-    for a, b in pairs:
+    for lineno, a, b in pairs:
         if a not in index or b not in index:
-            raise InvalidDocument(f"relation mentions unknown element {a!r} or {b!r}")
+            unknown = a if a not in index else b
+            raise InvalidDocument(f"line {lineno}: unknown element {unknown!r}")
         gens.append((index[a], index[b]))
     return Poset.from_relation(len(names), gens, names)
 
@@ -236,9 +237,19 @@ def _cmd_stats(args) -> int:
     files = sorted(f for f in os.listdir(args.corpus) if f.endswith(".poset"))
     if not files:
         raise InvalidDocument(f"no .poset files in {args.corpus}")
-    posets = (load_poset(os.path.join(args.corpus, f)) for f in files)
-    ids = [os.path.splitext(f)[0] for f in files]
-    records = run_iteration_experiment(posets, ids)
+    path = ""
+
+    def posets():
+        # One file at a time; `path` names the file being read or iterated.
+        nonlocal path
+        for f in files:
+            path = os.path.join(args.corpus, f)
+            yield load_poset(path)
+
+    try:
+        records = run_iteration_experiment(posets(), [os.path.splitext(f)[0] for f in files])
+    except (IntrankError, ValueError) as exc:
+        raise InvalidDocument(f"{path}: {exc}") from exc
     groups = aggregate_by(records, args.group)
     print(f"{args.group:>6}  count  chain_size  iterations  final_height  rank_width")
     for g, m in groups.items():

@@ -127,12 +127,13 @@ class OrderRelationTable(Poset):
 
     A Poset whose labels name the intervals of `ground`: bit j of rows[i] is
     set iff ground[i] <= ground[j]. The constructor validates the poset
-    axioms; distinct labels imply distinct ground intervals.
+    axioms, unless the package passes rows it has checked already; distinct
+    labels imply distinct ground intervals.
     """
 
-    def __init__(self, ground, rows):
+    def __init__(self, ground, rows, *, _checked: bool = False):
         self.ground = tuple(ground)
-        super().__init__(rows, tuple(str(iv) for iv in self.ground))
+        super().__init__(rows, self.ground, validate=not _checked)
 
     @classmethod
     def from_order(cls, ground, order: IntervalOrder | str) -> "OrderRelationTable":

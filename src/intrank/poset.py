@@ -54,14 +54,53 @@ def _row_pairs(rows):
     return ((i, j) for i, row in enumerate(rows) for j in _bits(row))
 
 
-def _close(rows: list[int], n: int) -> list[int]:
-    """Reflexive-transitive closure of bitset rows, Warshall style."""
+def _warshall(rows: list[int], n: int) -> list[int]:
+    # Reflexive-transitive closure by Warshall's n^2 bit tests.
     out = [rows[i] | (1 << i) for i in range(n)]
     for k in range(n):
         bit = 1 << k
         for i in range(n):
             if out[i] & bit:
                 out[i] |= out[k]
+    return out
+
+
+def _close(rows: list[int], n: int) -> list[int]:
+    """Reflexive-transitive closure of bitset rows, depth-first (Purdom, 1970).
+
+    An element's row is its own bit ORed with the finished rows of its
+    generators, walked with an explicit stack, not by recursion. A
+    generator already inside the row is skipped: it came in with a finished
+    row, which holds everything above it. So the work is about one OR per
+    generator that the others do not imply. Meeting a generator that is
+    still open means a cycle; only then does Warshall's loop close the
+    rows, so on cyclic input check_partial_order names the first pair
+    related both ways among the full closure.
+    """
+    out = [1 << i for i in range(n)]
+    done = 0  # elements whose rows are finished
+    for root in range(n):
+        if done >> root & 1:
+            continue
+        stack, open_ = [root], 1 << root
+        while stack:
+            v = stack[-1]
+            todo = rows[v] & ~out[v]
+            if not todo:
+                stack.pop()
+                done |= 1 << v
+                open_ ^= 1 << v
+                if stack:
+                    out[stack[-1]] |= out[v]
+                continue
+            low = todo & -todo
+            if low & done:
+                out[v] |= out[low.bit_length() - 1]
+            elif low & open_:
+                return _warshall(rows, n)
+            else:
+                stack.append(low.bit_length() - 1)
+                open_ |= low
     return out
 
 
@@ -116,7 +155,7 @@ class Poset:
         if n < 1:
             raise ValueError("a poset needs at least one element")
         full = (1 << n) - 1
-        if any(r & ~full or r < 0 for r in rows):
+        if min(rows) < 0 or max(rows) > full:
             raise ValueError("relation bits out of range")
         if labels is None:
             labels = tuple(f"x{i}" for i in range(n))
@@ -253,36 +292,50 @@ class Poset:
         """Size of the largest antichain.
 
         Computed as n minus a maximum matching on the strict-comparability
-        bipartite graph (minimum chain cover), via augmenting paths.
+        bipartite graph (minimum chain cover; Fulkerson, 1956), via
+        augmenting paths that look ahead: `free` masks the right vertices
+        still unmatched, and a left vertex whose strict row meets it takes
+        the lowest free one at once. Any maximum matching gives the width,
+        which is the number of right vertices left unmatched.
         """
-        n = self.n
         strict = self.strict_rows
-        match_right = [-1] * n
-        matched = 0
-        for root in range(n):
+        match_right = [-1] * self.n
+        free = (1 << self.n) - 1
+        for root, row in enumerate(strict):
+            hit = row & free
+            if hit:
+                low = hit & -hit
+                match_right[low.bit_length() - 1] = root
+                free ^= low
+                continue
             # Depth-first search for an augmenting path, lowest index first:
-            # path[k] is a left vertex and taken[k] the right vertex tried
-            # from it; a right vertex is tried at most once per root.
+            # path[k] is a left vertex and taken[k] the matched right vertex
+            # passed from it; a right vertex is passed at most once per root.
             seen = 0
             path = [root]
             taken: list[int] = []
             while path:
-                free = strict[path[-1]] & ~seen
-                if not free:
+                row = strict[path[-1]]
+                hit = row & free
+                if hit:
+                    low = hit & -hit
+                    taken.append(low.bit_length() - 1)
+                    for i, right in zip(path, taken):
+                        match_right[right] = i
+                    free ^= low
+                    break
+                left = row & ~seen
+                if not left:
                     path.pop()
                     if taken:
                         taken.pop()
                     continue
-                j = (free & -free).bit_length() - 1
-                seen |= 1 << j
+                low = left & -left
+                seen |= low
+                j = low.bit_length() - 1
                 taken.append(j)
-                if match_right[j] < 0:
-                    for i, right in zip(path, taken):
-                        match_right[right] = i
-                    matched += 1
-                    break
                 path.append(match_right[j])
-        return n - matched
+        return free.bit_count()
 
     def maximal_chains(self) -> list[tuple[int, ...]]:
         """All inclusion-maximal chains, each listed bottom to top."""

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from . import poset
 from .errors import CapExceeded, RangeError, TooSmall, UnboundedError
 from .intervals import _DIRECTIONS, IntInterval, IntervalOrder, OrderRelationTable, _endpoint_rows
 from .poset import Poset
@@ -95,9 +96,11 @@ class RankPoset:
     `keys` lists the distinct (lo, hi) rank values in a fixed linear
     extension of the image order (image bottom first); `blocks[i]` are the
     source elements whose rank is keys[i]. `conjugate` picks the image
-    order: containment for conjugate ranks, dual-weak otherwise.
-    `intervals` and `order`, an OrderRelationTable over the intervals, are
-    built from the keys when first read, and the order is validated then.
+    order: containment for conjugate ranks, dual-weak otherwise. The image
+    order's bitset rows are built from the keys and checked as a partial
+    order when first needed. `intervals` and `order`, an
+    OrderRelationTable over the intervals on those rows, are built when
+    first read.
     """
 
     keys: tuple[tuple[int, int], ...]
@@ -109,11 +112,18 @@ class RankPoset:
         return tuple(IntInterval(lo, hi) for lo, hi in self.keys)
 
     @cached_property
-    def order(self) -> Poset:
-        # Rank endpoints are at most 2n, so they index the endpoint masks directly.
+    def _rows(self) -> list[int]:
+        # Rank endpoints are at most 2n, so they index the endpoint masks
+        # directly. The check is called through the poset module, so that
+        # replacing it there replaces it here too.
         rows = _endpoint_rows(self.keys, IntervalOrder.SUBSET if self.conjugate
                               else IntervalOrder.DUAL_WEAK)
-        return OrderRelationTable(self.intervals, rows)
+        poset.check_partial_order(rows, len(rows))
+        return rows
+
+    @cached_property
+    def order(self) -> Poset:
+        return OrderRelationTable(self.intervals, self._rows, _checked=True)
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -140,11 +150,11 @@ def _group(values, key=None):
 
 def _image(p: Poset, conjugate: bool) -> RankPoset:
     # Conjugate ranks are listed by (-lo, hi), standard ranks in descending
-    # (lo, hi) order. The order is read here so that it is validated as the
-    # image is built.
+    # (lo, hi) order. The image order's rows are checked here, as the image
+    # is built; its table is built only when `order` is first read.
     key = (lambda k: (k[0], -k[1])) if conjugate else None
     image = RankPoset(*_group(_endpoints(p, conjugate), key), conjugate)
-    image.order
+    image._rows
     return image
 
 
@@ -239,11 +249,12 @@ def iterate_to_chain(p: Poset) -> IterationTrace:
     Each later stage ranks the distinct (lo, hi) keys of the one before,
     a partial order of dimension at most 2: a longest-increasing-subsequence
     sweep gives its chain heights and the keys' hi ends the chain test. It
-    is RankPoset(keys, blocks), so its `intervals` and `order` are built,
-    and the order validated, only when a caller first reads them. Original
-    elements are tracked through block membership, and the levels of the
-    final chain (top first) give the induced total preorder on p. The
-    iteration count is capped at |p|; hitting the cap raises CapExceeded.
+    is RankPoset(keys, blocks), so its order's rows are built and checked,
+    and its `intervals` and `order` built, only when a caller first reads
+    them. Original elements are tracked through block membership, and the
+    levels of the final chain (top first) give the induced total preorder
+    on p. The iteration count is capped at |p|; hitting the cap raises
+    CapExceeded.
     """
     _require_rankable(p)
     if p.is_chain():

@@ -91,3 +91,22 @@ def test_isomorphism_grouping_reads_up_heights(monkeypatch):
     tables = intervals.find_conjugates_of_strong(0, 2, max_ground=None)
     assert len(intervals.group_conjugates_by_isomorphism(tables)) >= 1
     assert calls
+
+
+def test_iteration_checks_each_first_stage_once(monkeypatch):
+    # The bench pins poset.check_partial_order.calls on iterate-random at one
+    # per poset that is not a chain: the rows of each first stage are
+    # checked as its rank image is built, and nothing else is checked.
+    generate = importlib.import_module("intrank.generate")
+    poset = importlib.import_module("intrank.poset")
+    rank = importlib.import_module("intrank.rank")
+    experiments = importlib.import_module("intrank.experiments")
+    posets = generate.random_corpus("random-graph", range(4, 14), 10, seed=0)
+    checked, check = [], poset.check_partial_order
+    monkeypatch.setattr(poset, "check_partial_order",
+                        lambda rows, n: checked.append(n) or check(rows, n))
+    experiments.run_iteration_experiment(posets)
+    monkeypatch.undo()
+    non_chains = [p for p in posets if not p.is_chain()]
+    assert 0 < len(non_chains) < len(posets)
+    assert checked == [len(rank.rank_image(p)) for p in non_chains]

@@ -115,6 +115,12 @@ class TestDocumentFormat:
         with pytest.raises(Exception, match="unknown element"):
             parse_poset_document("elements: a b\na < c\n")
 
+    @pytest.mark.parametrize("relation", ["a < c", "c < a"])
+    def test_unknown_name_by_line(self, relation):
+        doc = f"elements: a b\na < b\n{relation}\n"
+        with pytest.raises(InvalidDocument, match="^line 3: unknown element 'c'$"):
+            parse_poset_document(doc)
+
     def test_empty_element_list(self):
         with pytest.raises(InvalidDocument, match="line 1: empty element list"):
             parse_poset_document("elements:\n")
@@ -439,8 +445,15 @@ class TestStats:
         assert cli.main(["stats", "--corpus", chain_corpus, "--csv", str(target)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert "error:" in err
+        assert err.startswith("error: ") and "zzz.poset: line 2:" in err
         assert not target.exists()
+
+    def test_unrankable_file_is_named(self, chain_corpus, tmp_path, capsys):
+        # A file that parses but cannot be iterated is named too.
+        write(tmp_path / "chains" / "m.poset", "elements: a b\n")
+        assert cli.main(["stats", "--corpus", chain_corpus]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "m.poset: rank operators need" in err
 
 
 class TestUsage:

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import oracles
 from conftest import (antichain, boolean_lattice, bounded_chains, chain, crowns, cube3,
                       diamond, n5, standard_example)
-from intrank import CycleError, NotComparable, Poset, SubsetView, UnboundedError
+from intrank import (CycleError, GenConfig, NotComparable, Poset, SubsetView, UnboundedError,
+                     generate)
 from intrank.poset import check_partial_order
 
 
@@ -61,6 +62,13 @@ class TestFromRelation:
         with pytest.raises(ValueError):
             Poset.from_relation(2, [], labels=("a", "a"))
 
+    def test_long_chain_closes_without_recursion(self):
+        # The closure walks 5,000 generators deep from element 0.
+        n = 5000
+        p = Poset.from_relation(n, [(i, i + 1) for i in reversed(range(n - 1))])
+        full = (1 << n) - 1
+        assert p.rows == tuple(full >> i << i for i in range(n))
+
     def test_direct_construction_validates(self):
         with pytest.raises(ValueError):
             Poset((0b10, 0b11))  # row 0 lacks its own reflexive bit
@@ -104,8 +112,11 @@ class TestValidationProperties:
         n = data.draw(st.integers(1, 8))
         gens = data.draw(relations(n))
         closure = oracles.closure_pairs(n, gens)
-        if any(a != b and (b, a) in closure for a, b in closure):
-            with pytest.raises(CycleError):
+        mutual = sorted((a, b) for a, b in closure if a != b and (b, a) in closure)
+        if mutual:
+            # The error names the first pair related both ways, i then j ascending.
+            i, j = mutual[0]
+            with pytest.raises(CycleError, match=f"^elements {i} and {j} are mutually related$"):
                 Poset.from_relation(n, gens)
         else:
             assert Poset.from_relation(n, gens).rows == pair_rows(n, closure)
@@ -229,6 +240,13 @@ class TestHeightWidth:
         for n in (3, 4, 5):
             for p in free_posets_by_size[n]:
                 assert p.height() == oracles.brute_height(p)
+                assert p.width() == oracles.brute_width(p)
+
+    @pytest.mark.parametrize("model", ["random-graph", "random-kdim"])
+    def test_width_against_oracle_on_random_posets(self, model):
+        for n in range(8, 13):
+            for seed in range(6):
+                p = generate(GenConfig(model, n, p=0.3, seed=seed, add_bounds=False))
                 assert p.width() == oracles.brute_width(p)
 
     def test_width_of_deep_staircase(self):
