@@ -18,7 +18,7 @@ import tempfile
 
 from .errors import BudgetExceeded, IntrankError, InvalidDocument
 from .experiments import aggregate_by, linear_fit, log_fit, run_iteration_experiment, write_records_csv
-from .generate import MODELS, _corpus, enumerate_bounded_posets, enumerate_posets
+from .generate import MODELS, _bounded_posets, _corpus, _posets
 from .intervals import OrderRelationTable, all_intervals, are_conjugate, find_conjugates_of_strong, group_conjugates_by_isomorphism
 from .poset import Poset
 from .rank import conjugate_rank, iterate_to_chain, standard_rank
@@ -155,10 +155,7 @@ def poset_to_dot(p: Poset, name: str = "poset") -> str:
 
 def _cmd_gen(args) -> int:
     if args.model == "exhaustive":
-        if args.bounds:
-            posets = enumerate_bounded_posets(args.n)
-        else:
-            posets = enumerate_posets(args.n)
+        posets = _bounded_posets(args.n) if args.bounds else _posets(args.n)
     else:
         posets = _corpus(args.model, [args.n], args.count, p=args.p, k=args.k,
                          seed=args.seed, add_bounds=args.bounds)

@@ -63,15 +63,16 @@ def _order_ideals(q: Poset) -> list[int]:
 def _extend_with_maximal(q: Poset, ideal: int) -> Poset:
     # Append one new maximal element sitting above exactly `ideal`. The old
     # elements keep their down-sets, so the child inherits q's down-rows
-    # and down-heights and only the new element's are computed.
+    # and down-heights and only the new element's are computed. They are
+    # set as attributes: reading vars(child) would give every child its
+    # own instance dict.
     new = 1 << q.n
     rows = [r | new if ideal >> e & 1 else r for e, r in enumerate(q.rows)]
     rows.append(new)
     child = Poset(rows)
     heights = q.down_heights
-    vars(child).update(
-        down_rows=q.down_rows + (ideal | new,),
-        down_heights=heights + (1 + max((heights[e] for e in _bits(ideal)), default=0),))
+    child.down_rows = q.down_rows + (ideal | new,)
+    child.down_heights = heights + (1 + max((heights[e] for e in _bits(ideal)), default=0),)
     return child
 
 
@@ -164,11 +165,16 @@ def enumerate_posets(n: int) -> list[Poset]:
     Each child inherits its parent's down-rows and down-heights. The list
     comes in generation order. Budget stops at n = 8.
     """
+    return list(_posets(n))
+
+
+def _posets(n: int):
+    """enumerate_posets's posets, generated as iterated; n is checked first."""
     if n < 1:
         raise ValueError("n must be positive")
     if n > ENUM_MAX_FREE:
         raise BudgetExceeded(f"enumeration supports up to {ENUM_MAX_FREE} elements")
-    return list(_augment(Poset((1,)), n))
+    return _augment(Poset((1,)), n)
 
 
 def enumerate_bounded_posets(size: int) -> list[Poset]:
@@ -178,12 +184,18 @@ def enumerate_bounded_posets(size: int) -> list[Poset]:
     bounds adjoined; distinct cores stay distinct after bounding because
     the added bottom and top are recoverable as the unique extremes.
     """
+    return list(_bounded_posets(size))
+
+
+def _bounded_posets(size: int):
+    """enumerate_bounded_posets's posets, each bounded as it is generated, so
+    no list of free posets is built; size is checked first."""
     if size < 3:
         raise ValueError("bounded enumeration starts at size 3")
     if size > ENUM_MAX_BOUNDED:
         raise BudgetExceeded(
             f"bounded enumeration supports up to size {ENUM_MAX_BOUNDED}")
-    return [q.add_bounds() for q in enumerate_posets(size - 2)]
+    return map(Poset.add_bounds, _posets(size - 2))
 
 
 def random_graph_poset(cfg: GenConfig) -> Poset:

@@ -14,7 +14,7 @@ over asymptotic cleverness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import and_, or_
 
 from .errors import CycleError, NotComparable, UnboundedError
@@ -25,6 +25,13 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+@lru_cache(maxsize=64)
+def _default_labels(n: int) -> tuple[str, ...]:
+    # One tuple of names x0..x{n-1} per size, shared by every poset built
+    # without labels.
+    return tuple(f"x{i}" for i in range(n))
 
 
 def _closure(mask: int, perms) -> int:
@@ -158,7 +165,7 @@ class Poset:
         if min(rows) < 0 or max(rows) > full:
             raise ValueError("relation bits out of range")
         if labels is None:
-            labels = tuple(f"x{i}" for i in range(n))
+            labels = _default_labels(n)
         else:
             labels = tuple(str(name) for name in labels)
             if len(labels) != n:

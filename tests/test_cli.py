@@ -7,7 +7,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import chain, diamond, n5, two_stage
-from intrank import InvalidDocument, Poset, cli, random_corpus
+from intrank import (
+    InvalidDocument,
+    Poset,
+    cli,
+    enumerate_bounded_posets,
+    enumerate_posets,
+    random_corpus,
+)
 from intrank.cli import (
     format_poset_document,
     load_poset,
@@ -203,11 +210,36 @@ class TestGen:
         assert [(out / f"poset_{i:05d}.poset").read_text(encoding="utf-8")
                 for i in range(3)] == [format_poset_document(p) for p in expected]
 
+    @pytest.mark.parametrize("bounds, n, listing", [
+        ("--bounds", 6, enumerate_bounded_posets),
+        ("--no-bounds", 4, enumerate_posets),
+    ])
+    def test_exhaustive_matches_enumeration(self, tmp_path, bounds, n, listing):
+        # gen writes each representative as it is generated, in the order
+        # the enumeration lists them.
+        expected = listing(n)
+        out = tmp_path / "e"
+        assert cli.main(["gen", "--model", "exhaustive", "--n", str(n), bounds,
+                         "--out", str(out)]) == 0
+        assert len(os.listdir(out)) == len(expected)
+        assert [(out / f"poset_{i:05d}.poset").read_text(encoding="utf-8")
+                for i in range(len(expected))] == [format_poset_document(p) for p in expected]
+
     def test_budget_exit(self, tmp_path, capsys):
+        # The size is checked before --out is created.
+        out = tmp_path / "x"
         code = cli.main(["gen", "--model", "exhaustive", "--n", "12",
-                         "--out", str(tmp_path / "x")])
+                         "--out", str(out)])
         assert code == 3
         assert "budget exceeded" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bounded_size_below_three_exit(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = cli.main(["gen", "--model", "exhaustive", "--n", "2", "--out", str(out)])
+        assert code == 2
+        assert "bounded enumeration starts at size 3" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_count_exit(self, tmp_path, capsys):
         out = tmp_path / "x"

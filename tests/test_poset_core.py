@@ -62,6 +62,15 @@ class TestFromRelation:
         with pytest.raises(ValueError):
             Poset.from_relation(2, [], labels=("a", "a"))
 
+    def test_default_labels_shared_per_size(self):
+        # Posets built without labels read x0..x{n-1}, from one tuple per size.
+        for n in (1, 3, 7):
+            a = Poset.from_relation(n, [])
+            b = Poset([(1 << n) - 1 >> i << i for i in range(n)])
+            assert a.labels == tuple(f"x{i}" for i in range(n))
+            assert a.labels is b.labels
+        assert Poset.from_relation(3, [], labels=("a", "b", "c")).labels == ("a", "b", "c")
+
     def test_long_chain_closes_without_recursion(self):
         # The closure walks 5,000 generators deep from element 0.
         n = 5000

@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -177,6 +178,25 @@ class TestBoundedEnumeration:
             assert p.is_bounded()
             forms.add(p.canonical_form())
         assert len(forms) == 2450
+
+    @pytest.mark.parametrize("size", range(3, 10))
+    def test_bounds_adjoined_to_free_enumeration(self, size):
+        expected = [q.add_bounds() for q in enumerate_posets(size - 2)]
+        got = enumerate_bounded_posets(size)
+        assert [(p.rows, p.labels) for p in got] == [(p.rows, p.labels) for p in expected]
+
+    def test_bounded_enumeration_builds_no_free_list(self):
+        # Each free poset is bounded as it is generated, so the peak of
+        # the run stays near what the returned list retains.
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ps = enumerate_bounded_posets(9)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ps) == 2045
+        assert peak - base <= 1.2 * (retained - base)
 
     def test_size_validation(self):
         with pytest.raises(ValueError):
