@@ -202,12 +202,10 @@ def _cmd_iterate(args) -> int:
             print(f"stage {k}: {len(stage)} values: {blocks}")
     if args.dot:
         os.makedirs(args.dot, exist_ok=True)
-        _write_atomic(os.path.join(args.dot, "stage_0.dot"),
-                      poset_to_dot(p, "stage_0"))
-        for k, stage in enumerate(trace.stages, start=1):
-            _write_atomic(os.path.join(args.dot, f"stage_{k}.dot"),
-                          poset_to_dot(stage.order, f"stage_{k}"))
-        print(f"wrote {len(trace.stages) + 1} dot files to {args.dot}")
+        orders = [p] + [stage.order for stage in trace.stages]  # the input is stage 0
+        for k, order in enumerate(orders):
+            _write_atomic(os.path.join(args.dot, f"stage_{k}.dot"), poset_to_dot(order, f"stage_{k}"))
+        print(f"wrote {len(orders)} dot files to {args.dot}")
     return EXIT_OK
 
 
@@ -230,24 +228,27 @@ def _cmd_conjugates(args) -> int:
     return EXIT_OK
 
 
+# --fit choice -> (fit, the group mean it fits, its x term). The lambdas read
+# linear_fit / log_fit when called, so bench/spans.py's rebinding sees them.
+_FITS = {"linear": (lambda xs, ys: linear_fit(xs, ys), "final_chain_size", "x"),
+         "log": (lambda xs, ys: log_fit(xs, ys), "iterations", "ln(x)")}
+
+
 def _cmd_stats(args) -> int:
     files = sorted(f for f in os.listdir(args.corpus) if f.endswith(".poset"))
     if not files:
         raise InvalidDocument(f"no .poset files in {args.corpus}")
-    path = ""
-
-    def posets():
-        # One file at a time; `path` names the file being read or iterated.
-        nonlocal path
-        for f in files:
-            path = os.path.join(args.corpus, f)
-            yield load_poset(path)
-
-    try:
-        records = run_iteration_experiment(posets(), [os.path.splitext(f)[0] for f in files])
-    except (IntrankError, ValueError) as exc:
-        raise InvalidDocument(f"{path}: {exc}") from exc
+    records = []
+    for f in files:  # one file at a time, only its record kept
+        path = os.path.join(args.corpus, f)
+        try:
+            records += run_iteration_experiment([load_poset(path)], [os.path.splitext(f)[0]])
+        except (IntrankError, ValueError) as exc:
+            raise InvalidDocument(f"{path}: {exc}") from exc
     groups = aggregate_by(records, args.group)
+    if args.fit:  # fitted before anything is printed or written
+        fit_xy, mean, term = _FITS[args.fit]
+        fit = fit_xy([float(g) for g in groups], [float(getattr(m, mean)) for m in groups.values()])
     print(f"{args.group:>6}  count  chain_size  iterations  final_height  rank_width")
     for g, m in groups.items():
         print(f"{g:>6}  {m.count:>5}  {float(m.final_chain_size):>10.3f}"
@@ -257,15 +258,7 @@ def _cmd_stats(args) -> int:
         write_records_csv(records, args.csv)
         print(f"wrote {len(records)} records to {args.csv}")
     if args.fit:
-        xs = [float(g) for g in groups]
-        if args.fit == "linear":
-            ys = [float(m.final_chain_size) for m in groups.values()]
-            fit = linear_fit(xs, ys)
-            print(f"fit: y = {fit.a:.4f}*x + {fit.b:.4f}, R^2 = {fit.r_squared:.4f}")
-        else:
-            ys = [float(m.iterations) for m in groups.values()]
-            fit = log_fit(xs, ys)
-            print(f"fit: y = {fit.a:.4f}*ln(x) + {fit.b:.4f}, R^2 = {fit.r_squared:.4f}")
+        print(f"fit: y = {fit.a:.4f}*{term} + {fit.b:.4f}, R^2 = {fit.r_squared:.4f}")
     return EXIT_OK
 
 
@@ -318,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--corpus", required=True)
     stats.add_argument("--group", choices=["size", "height"], default="size")
     stats.add_argument("--csv", metavar="FILE")
-    stats.add_argument("--fit", choices=["linear", "log"])
+    stats.add_argument("--fit", choices=list(_FITS))
     stats.set_defaults(func=_cmd_stats)
 
     return parser

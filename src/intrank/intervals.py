@@ -150,7 +150,7 @@ class OrderRelationTable(Poset):
         """Close generator index pairs over `ground`, as Poset.from_relation
         does over 0..n-1 (CycleError for a cycle, IndexError out of range)."""
         ground = tuple(ground)
-        return cls(ground, _close(_pair_rows(len(ground), generators), len(ground)))
+        return cls(ground, _close(_pair_rows(len(ground), generators), len(ground)), _checked=True)
 
     @classmethod
     def from_strict_pairs(cls, ground, pairs) -> "OrderRelationTable":

@@ -81,8 +81,8 @@ def _close(rows: list[int], n: int) -> list[int]:
     row, which holds everything above it. So the work is about one OR per
     generator that the others do not imply. Meeting a generator that is
     still open means a cycle; only then does Warshall's loop close the
-    rows, so on cyclic input check_partial_order names the first pair
-    related both ways among the full closure.
+    rows, and check_partial_order raises CycleError for the first pair
+    related both ways. So the rows returned are always a partial order.
     """
     out = [1 << i for i in range(n)]
     done = 0  # elements whose rows are finished
@@ -103,8 +103,8 @@ def _close(rows: list[int], n: int) -> list[int]:
             low = todo & -todo
             if low & done:
                 out[v] |= out[low.bit_length() - 1]
-            elif low & open_:
-                return _warshall(rows, n)
+            elif low & open_:  # low and v lie on a cycle, so the check raises
+                check_partial_order(_warshall(rows, n), n)
             else:
                 stack.append(low.bit_length() - 1)
                 open_ |= low
@@ -182,17 +182,13 @@ class Poset:
     def from_relation(cls, n: int, generators, labels=None) -> "Poset":
         """Close generator pairs reflexively and transitively.
 
-        The closed rows are reflexive and transitive by construction, so the
-        only check left is antisymmetry, which holds exactly when the n rows
-        are distinct. Distinct rows are not checked again; otherwise the
-        constructor's check_partial_order raises CycleError for the first
-        pair related both ways. Raises IndexError for pairs mentioning
-        elements outside 0..n-1.
+        The closure raises CycleError for the first pair related both ways,
+        so what it returns is a partial order and is not checked again.
+        Raises IndexError for pairs mentioning elements outside 0..n-1.
         """
         if n < 1:
             raise ValueError("a poset needs at least one element")
-        rows = _close(_pair_rows(n, generators), n)
-        return cls(rows, labels, validate=len(set(rows)) < n)
+        return cls(_close(_pair_rows(n, generators), n), labels, validate=False)
 
     # -- basic queries -------------------------------------------------
 
@@ -258,14 +254,14 @@ class Poset:
 
     # -- chains and heights ----------------------------------------------
 
-    def _chain_heights(self, strict: tuple[int, ...], down: bool = False) -> tuple[int, ...]:
+    def _chain_heights(self, down: bool = False) -> tuple[int, ...]:
         # Longest chain starting (with `down`, ending) at each element along
-        # `strict` edges. If i relates to j then j's strict set is properly
+        # strict up-set edges. If i relates to j then j's strict set is properly
         # inside i's, so ascending popcount goes top first, descending bottom
         # first. levels[h] masks the elements given height h + 1 (with `down`,
         # their strict sets); an element gets one more than the highest
         # level its strict set meets (with `down`, the highest holding it).
-        n = self.n
+        n, strict = self.n, self.strict_rows
         heights = [1] * n
         levels: list[int] = []
         sizes = [r.bit_count() for r in strict]
@@ -283,13 +279,13 @@ class Poset:
     @cached_property
     def up_heights(self) -> tuple[int, ...]:
         """up_heights[a]: size of the longest chain inside the up-set of a."""
-        return self._chain_heights(self.strict_rows)
+        return self._chain_heights()
 
     @cached_property
     def down_heights(self) -> tuple[int, ...]:
         """down_heights[a]: size of the longest chain inside the down-set of a,
         swept bottom first over the up-set rows, so without a transpose."""
-        return self._chain_heights(self.strict_rows, down=True)
+        return self._chain_heights(down=True)
 
     def height(self) -> int:
         """Size of the largest chain."""
@@ -644,22 +640,12 @@ class SubsetView:
 
     def height(self) -> int:
         """Size of the largest chain inside the subset."""
-        mask = 0
-        for e in self.members:
-            mask |= 1 << e
-        heights = self.parent._chain_heights(
-            tuple(r & mask for r in self.parent.strict_rows))
-        return max((heights[e] for e in self.members), default=0)
+        return self.as_poset().height() if self.members else 0
 
     def as_poset(self) -> Poset:
         """The induced subposet, elements renumbered in member order."""
         idx = {e: i for i, e in enumerate(self.members)}
-        rows = []
-        for e in self.members:
-            m = 0
-            for j in _bits(self.parent.rows[e]):
-                if j in idx:
-                    m |= 1 << idx[j]
-            rows.append(m)
+        up = [self.parent.rows[e] for e in self.members]
+        rows = _pair_rows(len(up), ((i, idx[j]) for i, j in _row_pairs(up) if j in idx))
         labels = tuple(self.parent.labels[e] for e in self.members)
         return Poset(rows, labels, validate=False)

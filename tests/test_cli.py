@@ -480,6 +480,20 @@ class TestStats:
         assert err.startswith("error: ") and "zzz.poset: line 2:" in err
         assert not target.exists()
 
+    def test_fit_failure_leaves_no_output(self, chain_corpus, tmp_path, capsys):
+        # A corpus of one poset is one group, so the fit has one x value.
+        # It fails before the table is printed or the CSV is written.
+        target = tmp_path / "records.csv"
+        for f in os.listdir(chain_corpus):
+            if f != "chain3.poset":
+                os.remove(os.path.join(chain_corpus, f))
+        assert cli.main(["stats", "--corpus", chain_corpus, "--csv", str(target),
+                         "--fit", "linear"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: fit needs at least two distinct x values\n"
+        assert not target.exists()
+
     def test_unrankable_file_is_named(self, chain_corpus, tmp_path, capsys):
         # A file that parses but cannot be iterated is named too.
         write(tmp_path / "chains" / "m.poset", "elements: a b\n")
@@ -570,9 +584,15 @@ class TestWriteAtomic:
 
 
 def test_import_does_not_load_numpy():
-    code = "import sys, intrank, intrank.cli; assert 'numpy' not in sys.modules"
+    # README's "no runtime dependencies": importing the package and its CLI
+    # loads intrank and standard-library modules only, numpy among the rest.
+    code = ("import sys; before = set(sys.modules); import intrank, intrank.cli; "
+            "loaded = {m.partition('.')[0] for m in set(sys.modules) - before}; "
+            "print(' '.join(sorted(loaded - set(sys.stdlib_module_names) - {'intrank'})))")
     env = dict(os.environ, PYTHONPATH=SRC)
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.split() == []
 
 
 def test_no_default_encoding(tmp_path):

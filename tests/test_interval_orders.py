@@ -153,6 +153,23 @@ class TestOrderRelationTable:
         OrderRelationTable.from_order(all_intervals(0, 3), "weak")
         assert calls == [10]
 
+    def test_from_relation_does_not_validate_again(self, monkeypatch):
+        # The closure raises on a cycle itself, so an acyclic closure is
+        # never checked as a partial order a second time.
+        import intrank.poset
+        calls = []
+        check = intrank.poset.check_partial_order
+        monkeypatch.setattr(intrank.poset, "check_partial_order",
+                            lambda rows, n: calls.append(n) or check(rows, n))
+        ground = all_intervals(0, 2)
+        gens = [(0, 1), (1, 2), (0, 3), (3, 4), (4, 5), (2, 5)]
+        OrderRelationTable.from_relation(ground, gens)
+        Poset.from_relation(len(ground), gens)
+        assert calls == []
+        with pytest.raises(CycleError, match="^elements 0 and 1 are mutually related$"):
+            OrderRelationTable.from_relation(ground, gens + [(5, 0)])
+        assert calls == [len(ground)]
+
     def test_construction_validates(self):
         from intrank import CycleError
         ground = (iv(0, 0), iv(1, 1))

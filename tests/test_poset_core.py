@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 import oracles
 from conftest import (antichain, boolean_lattice, bounded_chains, chain, crowns, cube3,
                       diamond, n5, standard_example)
-from intrank import (CycleError, GenConfig, NotComparable, Poset, SubsetView, UnboundedError,
-                     generate)
+from intrank import (CycleError, GenConfig, IntInterval, NotComparable, OrderRelationTable, Poset,
+                     SubsetView, UnboundedError, generate)
 from intrank.poset import check_partial_order
 
 
@@ -122,13 +122,17 @@ class TestValidationProperties:
         gens = data.draw(relations(n))
         closure = oracles.closure_pairs(n, gens)
         mutual = sorted((a, b) for a, b in closure if a != b and (b, a) in closure)
-        if mutual:
-            # The error names the first pair related both ways, i then j ascending.
-            i, j = mutual[0]
-            with pytest.raises(CycleError, match=f"^elements {i} and {j} are mutually related$"):
-                Poset.from_relation(n, gens)
-        else:
-            assert Poset.from_relation(n, gens).rows == pair_rows(n, closure)
+        ground = tuple(IntInterval(i, i) for i in range(n))
+        for build in (lambda: Poset.from_relation(n, gens),
+                      lambda: OrderRelationTable.from_relation(ground, gens)):
+            if mutual:
+                # The error names the first pair related both ways, i then j ascending.
+                i, j = mutual[0]
+                with pytest.raises(CycleError,
+                                   match=f"^elements {i} and {j} are mutually related$"):
+                    build()
+            else:
+                assert build().rows == pair_rows(n, closure)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(st.data())
@@ -205,7 +209,12 @@ class TestSubsetViews:
             for a in range(p.n):
                 for view in (p.upset(a), p.downset(a), p.hourglass(a),
                              p.interval(p.bottom, a)):
-                    assert view.height() == view.as_poset().height()
+                    # The induced order read pairwise off p, then its height
+                    # by brute force.
+                    sub, m = view.as_poset(), view.members
+                    assert sub.rows == tuple(sum(1 << j for j, y in enumerate(m) if p.leq(x, y))
+                                             for x in m)
+                    assert view.height() == oracles.brute_height(sub)
 
     def test_len_and_contains(self):
         view = chain(4).upset(2)
@@ -219,8 +228,8 @@ class TestSubsetViews:
 
     @pytest.mark.parametrize("members", [(-1,), (3,), (0, 1, 3)])
     def test_members_out_of_range(self, members):
-        # as_poset builds without validation, and height() shifts by each
-        # member, so a member outside 0..n-1 is refused when the view is made.
+        # as_poset builds without validation, so a member outside 0..n-1 is
+        # refused when the view is made.
         bad = members[0] if members[0] < 0 else members[-1]
         with pytest.raises(IndexError) as err:
             SubsetView(chain(3), members)
