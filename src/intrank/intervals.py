@@ -36,12 +36,12 @@ def leq_strong(x: IntInterval, y: IntInterval) -> bool:
 
 def leq_weak(x: IntInterval, y: IntInterval) -> bool:
     """Both endpoints of x are at most the matching endpoints of y."""
-    return x.lo <= y.lo and x.hi <= y.hi
+    return IntervalOrder.WEAK.leq(x, y)
 
 
 def subset(x: IntInterval, y: IntInterval) -> bool:
     """x is contained in y."""
-    return x.lo >= y.lo and x.hi <= y.hi
+    return IntervalOrder.SUBSET.leq(x, y)
 
 
 class IntervalOrder(Enum):
@@ -54,13 +54,8 @@ class IntervalOrder(Enum):
     def leq(self, x: IntInterval, y: IntInterval) -> bool:
         if self is IntervalOrder.STRONG:
             return leq_strong(x, y)
-        if self is IntervalOrder.WEAK:
-            return leq_weak(x, y)
-        if self is IntervalOrder.DUAL_WEAK:
-            return leq_weak(y, x)
-        if self is IntervalOrder.SUBSET:
-            return subset(x, y)
-        return subset(y, x)
+        d_lo, d_hi = _DIRECTIONS[self]
+        return d_lo * (y.lo - x.lo) >= 0 and d_hi * (y.hi - x.hi) >= 0
 
     def lt(self, x: IntInterval, y: IntInterval) -> bool:
         return x != y and self.leq(x, y)
@@ -127,8 +122,8 @@ class OrderRelationTable(Poset):
 
     A Poset whose labels name the intervals of `ground`: bit j of rows[i] is
     set iff ground[i] <= ground[j]. The constructor validates the poset
-    axioms, unless the package passes rows it has checked already; distinct
-    labels imply distinct ground intervals.
+    axioms, unless the package passes rows it has checked already, and its
+    distinct-label check rejects a repeated interval.
     """
 
     def __init__(self, ground, rows, *, _checked: bool = False):
@@ -140,10 +135,7 @@ class OrderRelationTable(Poset):
         """The table of an interval order over distinct ground intervals:
         bit j of rows[i] is set iff ground[i] <= ground[j] in the order."""
         ground = tuple(ground)
-        order = IntervalOrder(order)
-        if len(set(ground)) != len(ground):
-            raise ValueError("ground intervals must be distinct")
-        return cls(ground, _endpoint_rows(_ground_keys(ground), order))
+        return cls(ground, _endpoint_rows(_ground_keys(ground), IntervalOrder(order)))
 
     @classmethod
     def from_relation(cls, ground, generators) -> "OrderRelationTable":

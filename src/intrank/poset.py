@@ -47,7 +47,9 @@ def _closure(mask: int, perms) -> int:
 
 
 def _pair_rows(n: int, pairs) -> list[int]:
-    # Bit b of rows[a] set for each pair (a, b); IndexError outside 0..n-1.
+    # Bit b of rows[a] per pair (a, b); ValueError if n < 1, IndexError outside 0..n-1.
+    if n < 1:
+        raise ValueError("a poset needs at least one element")
     rows = [0] * n
     for a, b in pairs:
         if not (0 <= a < n and 0 <= b < n):
@@ -186,8 +188,6 @@ class Poset:
         so what it returns is a partial order and is not checked again.
         Raises IndexError for pairs mentioning elements outside 0..n-1.
         """
-        if n < 1:
-            raise ValueError("a poset needs at least one element")
         return cls(_close(_pair_rows(n, generators), n), labels, validate=False)
 
     # -- basic queries -------------------------------------------------

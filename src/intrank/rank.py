@@ -29,6 +29,10 @@ class RankAssignment:
     ranks: tuple[IntInterval, ...]
     bound: int
 
+    def __post_init__(self):
+        if len(self.ranks) != self.poset.n:
+            raise ValueError(f"need {self.poset.n} ranks, one per element, not {len(self.ranks)}")
+
     def __getitem__(self, element: int) -> IntInterval:
         return self.ranks[element]
 

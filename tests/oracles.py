@@ -440,6 +440,21 @@ def brute_kdim_poset(cfg) -> Poset:
     return p.add_bounds() if cfg.add_bounds else p
 
 
+# Each interval order's x <= y, with every endpoint comparison written out.
+_INTERVAL_LEQ = {
+    "strong": lambda x, y: x == y or x.hi < y.lo,
+    "weak": lambda x, y: x.lo <= y.lo and x.hi <= y.hi,
+    "dual-weak": lambda x, y: x.lo >= y.lo and x.hi >= y.hi,
+    "subset": lambda x, y: x.lo >= y.lo and x.hi <= y.hi,
+    "superset": lambda x, y: x.lo <= y.lo and x.hi >= y.hi,
+}
+
+
+def interval_leq(order, x, y) -> bool:
+    """x <= y in an interval order (an IntervalOrder or its name)."""
+    return _INTERVAL_LEQ[IntervalOrder(order).value](x, y)
+
+
 # The rank-image orders compared pair by pair, and the listing order of the
 # distinct ranks under each.
 _IMAGE_ORDERS = {
@@ -465,14 +480,13 @@ def brute_rank_image(p: Poset, order: str) -> BruteImage:
     """rank_image ("dual-weak") or conjugate_image ("subset"), by k^2 pairwise
     interval comparisons and a scan of every element per block."""
     rank, sort_key = _IMAGE_ORDERS[order]
-    relation = IntervalOrder(order)
     ranks = rank(p).ranks
     distinct = sorted(set(ranks), key=sort_key)
     rows = []
     for x in distinct:
         m = 0
         for j, y in enumerate(distinct):
-            if relation.leq(x, y):
+            if interval_leq(order, x, y):
                 m |= 1 << j
         rows.append(m)
     blocks = tuple(tuple(a for a in range(p.n) if ranks[a] == iv)
@@ -488,7 +502,7 @@ def brute_rank_all(p: Poset) -> Poset:
     for a in range(p.n):
         m = 1 << a
         for b in range(p.n):
-            if a != b and IntervalOrder.DUAL_WEAK.lt(ranks[a], ranks[b]):
+            if ranks[a] != ranks[b] and interval_leq("dual-weak", ranks[a], ranks[b]):
                 m |= 1 << b
         rows.append(m)
     return Poset(rows, p.labels)

@@ -63,11 +63,15 @@ class TestPointwiseOrders:
         assert not leq_weak(iv(2, 2), iv(1, 3))
 
     def test_weak_is_product_order(self):
-        ground = all_intervals(0, 4)
+        # The two named orders against their definitions, and every order's
+        # leq against the oracle's literal endpoint comparisons.
+        ground = all_intervals(0, 5)
         for x in ground:
             for y in ground:
                 assert leq_weak(x, y) == (x.lo <= y.lo and x.hi <= y.hi)
                 assert subset(x, y) == (x.lo >= y.lo and x.hi <= y.hi)
+                for order in IntervalOrder:
+                    assert order.leq(x, y) == oracles.interval_leq(order, x, y)
 
     @pytest.mark.parametrize("order", list(IntervalOrder))
     def test_partial_order_axioms(self, order):
@@ -125,7 +129,8 @@ class TestGroundSets:
             interval_poset([], "weak")
 
     def test_interval_poset_rejects_duplicates(self):
-        with pytest.raises(ValueError):
+        # The labels are the intervals' str, so the label check rejects them.
+        with pytest.raises(ValueError, match="labels must be distinct"):
             interval_poset([iv(1, 2), iv(1, 2)], "weak")
 
 
@@ -139,10 +144,20 @@ class TestOrderRelationTable:
         grounds += [rng.sample(pool, rng.randint(1, len(pool))) for _ in range(200)]
         for ground in grounds:
             for order in IntervalOrder:
-                want = tuple(sum(1 << j for j, y in enumerate(ground) if order.leq(x, y))
+                want = tuple(sum(1 << j for j, y in enumerate(ground)
+                                 if oracles.interval_leq(order, x, y))
                              for x in ground)
                 assert OrderRelationTable.from_order(ground, order).rows == want
                 assert interval_poset(ground, order.value).rows == want
+
+    @pytest.mark.parametrize("build", [
+        lambda: Poset.from_relation(0, [(0, 0)]),
+        lambda: OrderRelationTable.from_relation((), [(0, 0)]),
+        lambda: OrderRelationTable.from_strict_pairs((), [(0, 1)]),
+    ], ids=["poset-from-relation", "table-from-relation", "table-from-strict-pairs"])
+    def test_pair_constructors_reject_empty_ground(self, build):
+        with pytest.raises(ValueError, match="a poset needs at least one element"):
+            build()
 
     def test_from_order_validates_once(self, monkeypatch):
         import intrank.poset

@@ -135,6 +135,14 @@ class TestClassification:
         sup = RankAssignment(p, (iv(0, 3), iv(1, 2)), 3)
         assert classify_rank_function(sup) is IntervalOrder.SUPERSET
 
+    def test_rank_count_must_match_poset(self):
+        # The ranks of a 4-chain would classify as dual-weak on a 3-chain.
+        four = standard_rank(chain(4)).ranks
+        for ranks in (four, four[:1]):
+            message = f"need 3 ranks, one per element, not {len(ranks)}"
+            with pytest.raises(ValueError, match=message):
+                RankAssignment(chain(3), ranks, 3)
+
     def test_vacuous_reports_dual_weak(self):
         p = antichain(2)
         f = RankAssignment(p, (iv(0, 0), iv(5, 5)), 5)
