@@ -60,20 +60,27 @@ def _order_ideals(q: Poset) -> list[int]:
     return ideals
 
 
-def _extend_with_maximal(q: Poset, ideal: int) -> Poset:
-    # Append one new maximal element sitting above exactly `ideal`. The old
-    # elements keep their down-sets, so the child inherits q's down-rows
-    # and down-heights and only the new element's are computed. They are
-    # set as attributes: reading vars(child) would give every child its
-    # own instance dict.
+def _extend_with_maximal(q: Poset, ideal: int, height: int) -> Poset:
+    # Append a new maximal element above exactly `ideal`, of down-height
+    # `height`. The old elements keep their down-sets, so the child inherits
+    # q's down-rows and down-heights, set as attributes: reading
+    # vars(child) would give every child its own instance dict.
     new = 1 << q.n
     rows = [r | new if ideal >> e & 1 else r for e, r in enumerate(q.rows)]
     rows.append(new)
     child = Poset(rows)
-    heights = q.down_heights
     child.down_rows = q.down_rows + (ideal | new,)
-    child.down_heights = heights + (1 + max((heights[e] for e in _bits(ideal)), default=0),)
+    child.down_heights = q.down_heights + (height,)
     return child
+
+
+def _at_least(values, members, size: int) -> list[int]:
+    # table[k] masks the members e with values[e] >= k, for k < size.
+    table = [0] * size
+    for e in members:
+        for k in range(values[e] + 1):
+            table[k] |= 1 << e
+    return table
 
 
 def _ideal_orbits(q: Poset) -> list[int]:
@@ -110,34 +117,45 @@ def _ideal_orbits(q: Poset) -> list[int]:
 
 
 def _augment(q: Poset, n: int):
-    # Depth-first canonical augmentation (McKay, 1998): yield the children
-    # of q, one per orbit of its order ideals, whose new maximal element v
-    # is a canonical deletion, each grown to n elements. The canonical
-    # deletions are the maximal elements with the largest down-set and,
-    # among those, the largest down-height; if that leaves more than v and
-    # its twins (which share v's orbit), they are the orbit of the one
-    # latest in the child's canonical order.
-    if q.n == n:
-        yield q
-        return
-    sizes = [d.bit_count() for d in q.down_rows]
-    heights, below = q.down_heights, q.strict_down_rows
-    tops = [e for e in range(q.n) if q.rows[e] == 1 << e]
+    # Depth-first canonical augmentation (McKay, 1998) from q.n < n: yield
+    # the children of q, one per orbit of its order ideals, whose new
+    # maximal element v is a canonical deletion, grown to n elements (a
+    # child of n elements as it is). The canonical deletions are the
+    # maximal elements with the largest down-set and, among those, the
+    # largest down-height; if that leaves more than v and its twins (which
+    # share v's orbit), they are the orbit of the one latest in the child's
+    # canonical order. Per parent, levels[h] masks the elements of
+    # down-height above h, so v's down-height is one more than the number
+    # of levels its ideal meets, and by_size[k] / by_height[k] mask the
+    # maximal elements whose down-set size / down-height is at least k.
+    heights, below, m = q.down_heights, q.strict_down_rows, q.n
+    tops = [e for e in range(m) if q.rows[e] == 1 << e]
+    levels = _at_least(heights, range(m), max(heights) + 1)[1:]
+    by_size = _at_least([d.bit_count() for d in q.down_rows], tops, m + 3)
+    by_height = _at_least(heights, tops, max(heights) + 3)
+    leaf = m + 1 == n
     for ideal in _ideal_orbits(q):
+        height = 1
+        for level in levels:
+            if not ideal & level:
+                break
+            height += 1
         size = ideal.bit_count() + 1
-        tied = [e for e in tops if not ideal >> e & 1 and sizes[e] >= size]
+        tied = by_size[size] & ~ideal
         if tied:
-            height = 1 + max((heights[e] for e in _bits(ideal)), default=0)
-            if any(sizes[e] > size or heights[e] > height for e in tied):
+            if tied & (by_size[size + 1] | by_height[height + 1]):
                 continue
-            tied = [e for e in tied if heights[e] == height]
-        child = _extend_with_maximal(q, ideal)
-        if any(below[e] != ideal for e in tied):
+            tied &= by_height[height]
+        child = _extend_with_maximal(q, ideal, height)
+        if tied and any(below[e] != ideal for e in _bits(tied)):
             child.canonical_form()
-            last = max(tied + [q.n], key=child._canonical[1].index)
-            if not any(m >> last & 1 and m >> q.n & 1 for m in child._orbits()):
+            last = max([*_bits(tied), m], key=child._canonical[1].index)
+            if not any(o >> last & 1 and o >> m & 1 for o in child._orbits()):
                 continue
-        yield from _augment(child, n)
+        if leaf:
+            yield child
+        else:
+            yield from _augment(child, n)
 
 
 def enumerate_posets(n: int) -> list[Poset]:
@@ -158,12 +176,14 @@ def enumerate_posets(n: int) -> list[Poset]:
       elements whose down-set is largest, then whose down-height is
       largest, v lies in the orbit of the one that comes last in the
       child's canonical order. Most children are decided before they are
-      built: v has a larger down-set or down-height than another maximal
-      element, or every element tied with it is its twin. Only the
-      remaining ones are searched.
+      built, by two mask tests against the parent's maximal elements
+      masked by down-set size and by down-height: another one has a
+      larger down-set or down-height than v, or every one tied with v is
+      its twin. Only the remaining ones are searched.
 
-    Each child inherits its parent's down-rows and down-heights. The list
-    comes in generation order. Budget stops at n = 8.
+    Each child inherits its parent's down-rows and down-heights; v's
+    down-height is read from a level table of the parent, one mask per
+    down-height. The list comes in generation order. Budget stops at n = 8.
     """
     return list(_posets(n))
 
@@ -174,7 +194,7 @@ def _posets(n: int):
         raise ValueError("n must be positive")
     if n > ENUM_MAX_FREE:
         raise BudgetExceeded(f"enumeration supports up to {ENUM_MAX_FREE} elements")
-    return _augment(Poset((1,)), n)
+    return _augment(Poset((1,)), n) if n > 1 else iter([Poset((1,))])
 
 
 def enumerate_bounded_posets(size: int) -> list[Poset]:

@@ -34,6 +34,19 @@ def _default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(n))
 
 
+@lru_cache(maxsize=64)
+def _bounded_labels(labels: tuple[str, ...]) -> tuple[str, ...]:
+    # Distinct labels, then BOT and TOP each padded with "_" until new: one
+    # tuple per label tuple, shared by every poset add_bounds builds on it.
+    out = list(labels)
+    for base in ("BOT", "TOP"):
+        name = base
+        while name in out:
+            name += "_"
+        out.append(name)
+    return tuple(out)
+
+
 def _closure(mask: int, perms) -> int:
     # The least superset of mask that each permutation (an image list)
     # maps into itself.
@@ -422,14 +435,10 @@ class Poset:
         rows = [self.rows[i] | (1 << top) for i in range(n)]
         rows.append(full)       # new bottom, below everything
         rows.append(1 << top)   # new top, above nothing
-        labels = list(self.labels)
-        for base in ("BOT", "TOP"):
-            name = base
-            while name in labels:
-                name += "_"
-            labels.append(name)
-        # construction preserves the poset axioms
-        return Poset(rows, labels, validate=False)
+        # construction preserves the poset axioms and the distinct labels
+        bounded = Poset(rows, validate=False)
+        bounded.labels = _bounded_labels(self.labels)
+        return bounded
 
     def dual(self) -> "Poset":
         """The same elements with the order reversed."""

@@ -51,10 +51,10 @@ def test_enumeration_checks_every_candidate_and_keys_every_parent(monkeypatch):
     extend, check = generate._extend_with_maximal, poset.check_partial_order
     canonical_form = poset.Poset.canonical_form
 
-    def extend_spy(q, ideal):
+    def extend_spy(q, *args):
         before = len(checked)
         parents.append(q)
-        built.append(extend(q, ideal))
+        built.append(extend(q, *args))
         assert checked[before:] == [built[-1].rows]
         return built[-1]
 

@@ -1,4 +1,5 @@
 import os
+import shlex
 import subprocess
 import sys
 
@@ -514,6 +515,18 @@ class TestUsage:
     def test_missing_required_option(self, capsys):
         assert cli.main(["gen", "--model", "exhaustive", "--n", "4"]) == 1
         capsys.readouterr()
+
+
+def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
+    # Every line of README's "Command line" block, in order, in one directory.
+    with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as fh:
+        block = fh.read().split("## Command line\n", 1)[1].split("```\n", 2)[1]
+    lines = block.splitlines()
+    assert lines and all(line.startswith("intrank ") for line in lines)
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert cli.main(shlex.split(line)[1:]) == 0, line
+    capsys.readouterr()
 
 
 class TestParserReuse:

@@ -40,6 +40,14 @@ CLASS_SET_DIGESTS = {
     8: "fb155e93367906e8fd497bc54970fbf64cc65c5e133f8295f3b81980f404f6f3",
 }
 
+# (candidates built by _extend_with_maximal, canonical_form calls) of
+# enumerate_posets(n). The class pins cannot see a pre-test that admits
+# extra candidates and discards them later; these counts can.
+SEARCH_EFFORT = {
+    2: (2, 1), 3: (7, 3), 4: (23, 9), 5: (87, 30), 6: (412, 124), 7: (2536, 679),
+    8: (20453, 5030),
+}
+
 gen_module = importlib.import_module("intrank.generate")
 
 
@@ -100,6 +108,27 @@ class TestExhaustiveEnumeration:
         forms = repr(sorted(p.canonical_form() for p in ps))
         assert hashlib.sha256(forms.encode()).hexdigest() == CLASS_SET_DIGESTS[n]
 
+    def test_search_effort_pinned(self, monkeypatch):
+        counts = {}
+        extend, canonical_form = gen_module._extend_with_maximal, Poset.canonical_form
+
+        def extend_spy(*args):
+            counts["built"] += 1
+            return extend(*args)
+
+        def key_spy(self):
+            counts["searched"] += 1
+            return canonical_form(self)
+
+        monkeypatch.setattr(gen_module, "_extend_with_maximal", extend_spy)
+        monkeypatch.setattr(Poset, "canonical_form", key_spy)
+        got = {}
+        for n in SEARCH_EFFORT:
+            counts.update(built=0, searched=0)
+            enumerate_posets(n)
+            got[n] = counts["built"], counts["searched"]
+        assert got == SEARCH_EFFORT
+
     def test_eight_elements_at_the_budget(self, eight):
         # OEIS A000112
         assert len(eight) == 16999
@@ -134,8 +163,8 @@ class TestExhaustiveEnumeration:
         built = []
         extend = gen_module._extend_with_maximal
 
-        def spy(q, ideal):
-            built.append(extend(q, ideal))
+        def spy(*args):
+            built.append(extend(*args))
             return built[-1]
 
         monkeypatch.setattr(gen_module, "_extend_with_maximal", spy)
@@ -184,6 +213,15 @@ class TestBoundedEnumeration:
         expected = [q.add_bounds() for q in enumerate_posets(size - 2)]
         got = enumerate_bounded_posets(size)
         assert [(p.rows, p.labels) for p in got] == [(p.rows, p.labels) for p in expected]
+
+    def test_bounded_labels_are_core_names_then_bounds(self):
+        # One label tuple per size, shared: x0.. for the core, then BOT, TOP.
+        ps = (enumerate_bounded_posets(6) + random_corpus("random-graph", [3, 7], 10)
+              + random_corpus("random-kdim", [3, 7], 10))
+        shared = {}
+        for p in ps:
+            assert p.labels == tuple(f"x{i}" for i in range(p.n - 2)) + ("BOT", "TOP")
+            assert shared.setdefault(p.n, p.labels) is p.labels
 
     def test_bounded_enumeration_builds_no_free_list(self):
         # Each free poset is bounded as it is generated, so the peak of
