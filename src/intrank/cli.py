@@ -223,7 +223,7 @@ def _cmd_conjugates(args) -> int:
         shown = ", ".join(f"{t.ground[a]}<{t.ground[b]}" for a, b in t.covers())
         print(f"order {i}: {shown if shown else '(no relations)'}")
         print(f"  conjugate: {'true' if are_conjugate(t, strong) else 'false'}")
-    classes = group_conjugates_by_isomorphism(tables) if tables else []
+    classes = group_conjugates_by_isomorphism(tables)
     print(f"found {len(tables)} conjugate orders in {len(classes)} isomorphism classes")
     return EXIT_OK
 
@@ -246,16 +246,17 @@ def _cmd_stats(args) -> int:
         except (IntrankError, ValueError) as exc:
             raise InvalidDocument(f"{path}: {exc}") from exc
     groups = aggregate_by(records, args.group)
-    if args.fit:  # fitted before anything is printed or written
+    if args.fit:  # fitted, and the CSV written, before anything is printed
         fit_xy, mean, term = _FITS[args.fit]
         fit = fit_xy([float(g) for g in groups], [float(getattr(m, mean)) for m in groups.values()])
+    if args.csv:
+        write_records_csv(records, args.csv)
     print(f"{args.group:>6}  count  chain_size  iterations  final_height  rank_width")
     for g, m in groups.items():
         print(f"{g:>6}  {m.count:>5}  {float(m.final_chain_size):>10.3f}"
               f"  {float(m.iterations):>10.3f}  {float(m.final_height):>12.3f}"
               f"  {float(m.avg_rank_width):>10.3f}")
     if args.csv:
-        write_records_csv(records, args.csv)
         print(f"wrote {len(records)} records to {args.csv}")
     if args.fit:
         print(f"fit: y = {fit.a:.4f}*{term} + {fit.b:.4f}, R^2 = {fit.r_squared:.4f}")

@@ -38,7 +38,7 @@ def run_iteration_experiment(posets, ids=None) -> list[IterationRecord]:
     records = []
     for pid, p in zip(ids, posets, strict=True):
         trace = iterate_to_chain(p)
-        final_size = len(trace.stages[-1]) if trace.stages else p.n  # a chain's height
+        final_size = len(trace.preorder_levels)  # a chain's height
         records.append(IterationRecord(
             poset_id=str(pid),
             size=p.n,

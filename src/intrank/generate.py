@@ -17,7 +17,6 @@ from .errors import BudgetExceeded
 from .poset import Poset, _bits
 
 ENUM_MAX_FREE = 8
-ENUM_MAX_BOUNDED = 10
 
 MODELS = ("exhaustive", "random-graph", "random-kdim")
 
@@ -117,28 +116,26 @@ def _ideal_orbits(q: Poset) -> list[int]:
 
 
 def _augment(q: Poset, n: int):
-    # Depth-first canonical augmentation (McKay, 1998) from q.n < n: yield
-    # the children of q, one per orbit of its order ideals, whose new
-    # maximal element v is a canonical deletion, grown to n elements (a
-    # child of n elements as it is). The canonical deletions are the
-    # maximal elements with the largest down-set and, among those, the
-    # largest down-height; if that leaves more than v and its twins (which
-    # share v's orbit), they are the orbit of the one latest in the child's
-    # canonical order. Per parent, levels[h] masks the elements of
-    # down-height above h, so v's down-height is one more than the number
-    # of levels its ideal meets, and by_size[k] / by_height[k] mask the
-    # maximal elements whose down-set size / down-height is at least k.
+    # Depth-first canonical augmentation (McKay, 1998): yield q if it has n
+    # elements, else grow to n elements the children of q, one per orbit of
+    # its order ideals, whose new maximal element v is a canonical deletion.
+    # The canonical deletions are the maximal elements with the largest
+    # down-set and, among those, the largest down-height; if that leaves
+    # more than v and its twins (which share v's orbit), they are the orbit
+    # of the one latest in the child's canonical order. Per parent,
+    # by_height[k] masks the elements of down-height at least k, so v's
+    # down-height is the first level its ideal misses, and by_size[k] masks
+    # the maximal elements whose down-set size is at least k.
+    if q.n == n:
+        yield q
+        return
     heights, below, m = q.down_heights, q.strict_down_rows, q.n
     tops = [e for e in range(m) if q.rows[e] == 1 << e]
-    levels = _at_least(heights, range(m), max(heights) + 1)[1:]
     by_size = _at_least([d.bit_count() for d in q.down_rows], tops, m + 3)
-    by_height = _at_least(heights, tops, max(heights) + 3)
-    leaf = m + 1 == n
+    by_height = _at_least(heights, range(m), max(heights) + 3)
     for ideal in _ideal_orbits(q):
         height = 1
-        for level in levels:
-            if not ideal & level:
-                break
+        while ideal & by_height[height]:
             height += 1
         size = ideal.bit_count() + 1
         tied = by_size[size] & ~ideal
@@ -152,10 +149,7 @@ def _augment(q: Poset, n: int):
             last = max([*_bits(tied), m], key=child._canonical[1].index)
             if not any(o >> last & 1 and o >> m & 1 for o in child._orbits()):
                 continue
-        if leaf:
-            yield child
-        else:
-            yield from _augment(child, n)
+        yield from _augment(child, n)
 
 
 def enumerate_posets(n: int) -> list[Poset]:
@@ -176,14 +170,15 @@ def enumerate_posets(n: int) -> list[Poset]:
       elements whose down-set is largest, then whose down-height is
       largest, v lies in the orbit of the one that comes last in the
       child's canonical order. Most children are decided before they are
-      built, by two mask tests against the parent's maximal elements
-      masked by down-set size and by down-height: another one has a
-      larger down-set or down-height than v, or every one tied with v is
-      its twin. Only the remaining ones are searched.
+      built, by two mask tests against two tables of the parent, one of
+      its maximal elements by down-set size and one of all its elements
+      by down-height: another maximal element has a larger down-set or
+      down-height than v, or every one tied with v is its twin. Only the
+      remaining ones are searched.
 
     Each child inherits its parent's down-rows and down-heights; v's
-    down-height is read from a level table of the parent, one mask per
-    down-height. The list comes in generation order. Budget stops at n = 8.
+    down-height is the first level of the down-height table its ideal
+    misses. The list comes in generation order. Budget stops at n = 8.
     """
     return list(_posets(n))
 
@@ -194,7 +189,7 @@ def _posets(n: int):
         raise ValueError("n must be positive")
     if n > ENUM_MAX_FREE:
         raise BudgetExceeded(f"enumeration supports up to {ENUM_MAX_FREE} elements")
-    return _augment(Poset((1,)), n) if n > 1 else iter([Poset((1,))])
+    return _augment(Poset((1,)), n)
 
 
 def enumerate_bounded_posets(size: int) -> list[Poset]:
@@ -212,9 +207,9 @@ def _bounded_posets(size: int):
     no list of free posets is built; size is checked first."""
     if size < 3:
         raise ValueError("bounded enumeration starts at size 3")
-    if size > ENUM_MAX_BOUNDED:
+    if size - 2 > ENUM_MAX_FREE:
         raise BudgetExceeded(
-            f"bounded enumeration supports up to size {ENUM_MAX_BOUNDED}")
+            f"bounded enumeration supports up to size {ENUM_MAX_FREE + 2}")
     return map(Poset.add_bounds, _posets(size - 2))
 
 

@@ -495,6 +495,15 @@ class TestStats:
         assert err == "error: fit needs at least two distinct x values\n"
         assert not target.exists()
 
+    def test_unwritable_csv_leaves_no_output(self, chain_corpus, tmp_path, capsys):
+        # The CSV is written before the table is printed, so a path that
+        # cannot be written fails the command with nothing on stdout.
+        target = tmp_path / "nodir" / "records.csv"
+        assert cli.main(["stats", "--corpus", chain_corpus, "--csv", str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "No such file or directory" in err
+
     def test_unrankable_file_is_named(self, chain_corpus, tmp_path, capsys):
         # A file that parses but cannot be iterated is named too.
         write(tmp_path / "chains" / "m.poset", "elements: a b\n")

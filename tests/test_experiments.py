@@ -15,6 +15,7 @@ from intrank import (
     IterationRecord,
     aggregate_by,
     enumerate_bounded_posets,
+    iterate_to_chain,
     linear_fit,
     log_fit,
     run_iteration_experiment,
@@ -57,9 +58,12 @@ class TestRunExperiment:
                 == run_iteration_experiment(posets, ids))
 
     def test_final_height_equals_final_chain_size(self, bounded_corpus):
-        # a chain's height is its size, so the two final columns agree
-        for r in run_iteration_experiment(bounded_corpus[:200]):
+        # a chain's height is its size, so the two final columns agree,
+        # and the final chain has one element per level of the preorder
+        posets = bounded_corpus[:200]
+        for p, r in zip(posets, run_iteration_experiment(posets), strict=True):
             assert r.final_height == r.final_chain_size
+            assert r.final_chain_size == len(iterate_to_chain(p).preorder_levels)
             assert r.final_chain_size <= r.size
             assert r.final_height >= r.height
 

@@ -236,11 +236,15 @@ class TestBoundedEnumeration:
         assert len(ps) == 2045
         assert peak - base <= 1.2 * (retained - base)
 
-    def test_size_validation(self):
+    def test_size_validation(self, monkeypatch):
         with pytest.raises(ValueError):
             enumerate_bounded_posets(2)
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded,
+                           match="bounded enumeration supports up to size 10"):
             enumerate_bounded_posets(11)
+        # One budget: lifting the free one lifts the bounded one too.
+        monkeypatch.setattr(gen_module, "ENUM_MAX_FREE", 9)
+        gen_module._bounded_posets(11)
 
     def test_cores_plus_bounds(self):
         # stripping the fresh bounds recovers exactly the free posets
