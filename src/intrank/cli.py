@@ -3,7 +3,8 @@
 Document format: a plain text file with one ``elements:`` line naming the
 elements and one ``NAME < NAME`` line per generator pair, closed
 transitively on load. Lines starting with ``#`` and blank lines are
-ignored. A matrix file is an n-line block of 0/1 entries instead.
+ignored. A matrix file is an n-line block of 0/1 entries instead; the
+first line that is neither blank nor a comment tells the two apart.
 
 Exit codes: 0 success, 1 usage error, 2 invalid input, 3 budget exceeded.
 """
@@ -12,14 +13,15 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import os
+import re
 import sys
-import tempfile
 
 from .errors import BudgetExceeded, IntrankError, InvalidDocument
-from .experiments import aggregate_by, linear_fit, log_fit, run_iteration_experiment, write_records_csv
+from .experiments import _write_atomic, aggregate_by, linear_fit, log_fit, run_iteration_experiment, write_records_csv
 from .generate import MODELS, _bounded_posets, _corpus, _posets
-from .intervals import OrderRelationTable, all_intervals, are_conjugate, find_conjugates_of_strong, group_conjugates_by_isomorphism
+from .intervals import CONJ_MAX_GROUND, OrderRelationTable, all_intervals, are_conjugate, find_conjugates_of_strong, group_conjugates_by_isomorphism
 from .poset import Poset
 from .rank import conjugate_rank, iterate_to_chain, standard_rank
 
@@ -115,27 +117,13 @@ def parse_matrix_document(text: str) -> Poset:
     return Poset.from_relation(n, gens)
 
 
-def load_poset(path: str, matrix: bool = False) -> Poset:
-    with open(path, encoding="utf-8") as fh:
+def load_poset(path: str) -> Poset:
+    """A matrix if the first line neither blank nor '#' is a row of 0, 1 and
+    whitespace, which no document accepts; a poset document otherwise."""
+    with open(path, encoding="utf-8-sig") as fh:  # skips a byte-order mark
         text = fh.read()
-    return parse_matrix_document(text) if matrix else parse_poset_document(text)
-
-
-def _write_atomic(path: str, text: str) -> None:
-    # A unique temporary file beside the target, renamed over it; it is
-    # removed if the write or the rename fails. mkstemp creates it private,
-    # so it gets the mode a plain open() would have given it.
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    first = next((s for s in map(str.strip, io.StringIO(text)) if s and s[0] != "#"), "")
+    return (parse_matrix_document if re.fullmatch(r"[01\s]+", first) else parse_poset_document)(text)
 
 
 def poset_to_dot(p: Poset, name: str = "poset") -> str:
@@ -160,6 +148,8 @@ def _cmd_gen(args) -> int:
         posets = _corpus(args.model, [args.n], args.count, p=args.p, k=args.k,
                          seed=args.seed, add_bounds=args.bounds)
     os.makedirs(args.out, exist_ok=True)
+    if any(f.endswith(".poset") for f in os.listdir(args.out)):  # stats would mix them in
+        raise FileExistsError(f"{args.out} already holds .poset files")
     written = 0
     for p in posets:
         path = os.path.join(args.out, f"poset_{written:05d}.poset")
@@ -170,7 +160,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    p = load_poset(args.input, args.matrix)
+    p = load_poset(args.input)
     if args.conjugate:
         ra = conjugate_rank(p)
         for a in range(p.n):
@@ -190,7 +180,7 @@ def _levels_str(p: Poset, levels) -> str:
 
 
 def _cmd_iterate(args) -> int:
-    p = load_poset(args.input, args.matrix)
+    p = load_poset(args.input)
     trace = iterate_to_chain(p)
     print(f"iterations: {trace.iterations_to_chain}")
     print("levels: " + _levels_str(p, trace.preorder_levels))
@@ -214,10 +204,8 @@ def _cmd_conjugates(args) -> int:
         raise UsageError("--hi must be at least --lo")
     if args.limit is not None and args.limit < 1:
         raise UsageError("--limit must be at least 1")
-    if args.hi - args.lo > 3 and not args.force:
-        raise BudgetExceeded(
-            "endpoint span above 3 needs --force (search grows steeply)")
-    tables = find_conjugates_of_strong(args.lo, args.hi, limit=args.limit, max_ground=None)
+    tables = find_conjugates_of_strong(args.lo, args.hi, limit=args.limit,
+                                       max_ground=None if args.force else CONJ_MAX_GROUND)
     strong = OrderRelationTable.from_order(all_intervals(args.lo, args.hi), "strong")
     for i, t in enumerate(tables):
         shown = ", ".join(f"{t.ground[a]}<{t.ground[b]}" for a, b in t.covers())
@@ -280,23 +268,19 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--k", type=int, default=3, help="number of total orders (random-kdim)")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--count", type=int, default=1, help="posets to draw (random models)")
-    bounds = gen.add_mutually_exclusive_group()
-    bounds.add_argument("--bounds", dest="bounds", action="store_true", default=True)
-    bounds.add_argument("--no-bounds", dest="bounds", action="store_false")
+    gen.add_argument("--no-bounds", dest="bounds", action="store_false", help="add no bottom and top")
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_gen)
 
     rank = sub.add_parser("rank", help="print per-element rank intervals")
     rank.add_argument("input")
     rank.add_argument("--conjugate", action="store_true")
-    rank.add_argument("--matrix", action="store_true", help="input is a 0/1 matrix")
     rank.set_defaults(func=_cmd_rank)
 
     it = sub.add_parser("iterate", help="iterate the rank operator to a chain")
     it.add_argument("input")
     it.add_argument("--trace", action="store_true", help="print every stage")
     it.add_argument("--dot", metavar="DIR", help="write per-stage Hasse .dot files")
-    it.add_argument("--matrix", action="store_true")
     it.set_defaults(func=_cmd_iterate)
 
     conj = sub.add_parser("conjugate-search",
@@ -305,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     conj.add_argument("--hi", type=int, required=True)
     conj.add_argument("--limit", type=int, default=None, help="stop after N conjugates (N >= 1)")
     conj.add_argument("--force", action="store_true",
-                      help="lift the endpoint-span budget")
+                      help="lift the ground-size budget of the search")
     conj.set_defaults(func=_cmd_conjugates)
 
     stats = sub.add_parser("stats", help="iterate a corpus and aggregate results")

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import csv
+import io
+import os
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from math import log
@@ -133,12 +136,30 @@ def log_fit(xs, ys) -> FitResult:
     return _ols([log(x) for x in xs], ys, "logarithmic")
 
 
+def _write_atomic(path, text: str) -> None:
+    # Every file the package writes: a temporary file beside path, renamed
+    # over it and removed if either step fails; newlines are not translated.
+    # mkstemp makes it private, so it gets the mode open() would have given.
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_records_csv(records, path) -> None:
-    """Write records with the fixed column schema."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for r in records:
-            writer.writerow([r.poset_id, r.size, r.height, r.width,
-                             r.iterations, r.final_chain_size, r.final_height,
-                             str(float(r.avg_rank_width))])
+    """Write records with the fixed column schema; a failure, in the records
+    or in the write, leaves any earlier file at path unchanged."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows([r.poset_id, r.size, r.height, r.width, r.iterations,
+                      r.final_chain_size, r.final_height, str(float(r.avg_rank_width))]
+                     for r in records)
+    _write_atomic(path, buf.getvalue())

@@ -10,6 +10,9 @@ from operator import or_
 from .errors import BudgetExceeded, GroundMismatch
 from .poset import Poset, _bits, _close, _pair_rows
 
+# find_conjugates_of_strong's ground budget: endpoint span 3 has 10 intervals, 4 has 15.
+CONJ_MAX_GROUND = 12
+
 
 @dataclass(frozen=True, slots=True)
 class IntInterval:
@@ -183,7 +186,7 @@ def are_pseudo_conjugate(t1: OrderRelationTable, t2: OrderRelationTable) -> bool
 
 
 def find_conjugates_of_strong(lo_min: int, hi_max: int, limit: int | None = None,
-                              *, max_ground: int | None = 12,
+                              *, max_ground: int | None = CONJ_MAX_GROUND,
                               ) -> list[OrderRelationTable]:
     """All conjugates of the strong order on the full interval ground set.
 

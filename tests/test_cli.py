@@ -14,6 +14,7 @@ from intrank import (
     cli,
     enumerate_bounded_posets,
     enumerate_posets,
+    intervals,
     random_corpus,
 )
 from intrank.cli import (
@@ -149,10 +150,13 @@ class TestDocumentFormat:
         with pytest.raises(Exception, match="not a valid name"):
             parse_poset_document("elements: a < b\n")
 
-    def test_matrix_with_and_without_spaces(self):
-        dense = parse_matrix_document("110\n011\n001\n")
-        spaced = parse_matrix_document("1 1 0\n0 1 1\n0 0 1\n")
-        tabbed = parse_matrix_document("1\t1\t0\n0\t1\t1\n0\t0\t1\n")
+    def test_matrix_with_and_without_spaces(self, tmp_path):
+        # Read through load_poset, which tells a matrix by its first row, here
+        # after a comment and a blank line.
+        dense, spaced, tabbed = (
+            load_poset(write(tmp_path / f"{i}.mat", "# a 3-chain\n\n" + rows))
+            for i, rows in enumerate(["110\n011\n001\n", "1 1 0\n0 1 1\n0 0 1\n",
+                                      "1\t1\t0\n0\t1\t1\n0\t0\t1\n"]))
         assert dense == spaced == tabbed
         assert dense.is_chain()
 
@@ -174,6 +178,36 @@ class TestDocumentFormat:
         assert '"BOT" -> "TOP";' not in dot
 
 
+class TestFormatInference:
+    """load_poset reads a matrix or a document, told apart by the first content line."""
+
+    @pytest.mark.parametrize("doc", [
+        "a < b\nb < c\nelements: a b c\n",
+        "\n# relations first\nb < c\nelements: a b c\na < b\n",
+        "elements: 0 1\n0 < 1\n",
+        "0 < 1\nelements: 1 0\n",
+    ], ids=["relations-first", "comment-then-relations", "names-0-1", "names-0-1-relations-first"])
+    def test_document_not_taken_for_matrix(self, tmp_path, doc):
+        assert load_poset(write(tmp_path / "d.poset", doc)) == parse_poset_document(doc)
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "# only a comment\n"],
+                             ids=["empty", "blank", "comment"])
+    def test_no_content_is_a_document(self, tmp_path, capsys, text):
+        assert cli.main(["rank", write(tmp_path / "e.poset", text)]) == 2
+        assert capsys.readouterr().err == "error: missing elements line\n"
+
+    def test_matrix_row_then_relation(self, tmp_path, capsys):
+        assert cli.main(["rank", write(tmp_path / "x.poset", "0 1\na < b\n")]) == 2
+        assert capsys.readouterr().err == "error: matrix entries must be 0/1, got 'a < b'\n"
+
+    @pytest.mark.parametrize("text", [N5_DOC, "11\n01\n"], ids=["document", "matrix"])
+    def test_byte_order_mark_skipped(self, tmp_path, text):
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert load_poset(str(marked)) == load_poset(str(plain))
+
+
 class TestGen:
     def test_exhaustive_bounded(self, tmp_path, capsys):
         out = tmp_path / "corpus"
@@ -192,15 +226,32 @@ class TestGen:
         assert len(os.listdir(out)) == 5
 
     def test_rerun_is_stable(self, tmp_path):
+        args = ["gen", "--model", "random-graph", "--n", "6", "--seed", "3", "--count", "4"]
+        corpora = []
+        for out in (tmp_path / "c1", tmp_path / "c2"):
+            assert cli.main([*args, "--out", str(out)]) == 0
+            corpora.append({f: (out / f).read_bytes() for f in os.listdir(out)})
+        assert corpora[0] == corpora[1]
+        assert len(corpora[0]) == 4
+
+    def test_out_holding_posets_refused(self, tmp_path, capsys):
+        # A second corpus written over a first would leave the first's extra
+        # files behind for stats to read; gen refuses before writing anything.
         out = tmp_path / "c"
-        args = ["gen", "--model", "random-graph", "--n", "6", "--seed", "3",
-                "--count", "4", "--out", str(out)]
-        assert cli.main(args) == 0
-        first = {f: (out / f).read_bytes() for f in os.listdir(out)}
-        assert cli.main(args) == 0
-        second = {f: (out / f).read_bytes() for f in os.listdir(out)}
-        assert first == second
-        assert len(first) == 4
+        assert cli.main(["gen", "--model", "exhaustive", "--n", "7", "--out", str(out)]) == 0
+        before = {f: (out / f).read_bytes() for f in os.listdir(out)}
+        assert len(before) == 63
+        capsys.readouterr()
+        assert cli.main(["gen", "--model", "exhaustive", "--n", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {out} already holds .poset files\n")
+        assert {f: (out / f).read_bytes() for f in os.listdir(out)} == before
+
+    def test_out_holding_other_files_accepted(self, tmp_path):
+        out = tmp_path / "c"
+        out.mkdir()
+        write(out / "notes.txt", "kept\n")
+        assert cli.main(["gen", "--model", "exhaustive", "--n", "4", "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["notes.txt", "poset_00000.poset", "poset_00001.poset"]
 
     def test_random_matches_random_corpus(self, tmp_path):
         out = tmp_path / "k"
@@ -212,15 +263,15 @@ class TestGen:
                 for i in range(3)] == [format_poset_document(p) for p in expected]
 
     @pytest.mark.parametrize("bounds, n, listing", [
-        ("--bounds", 6, enumerate_bounded_posets),
-        ("--no-bounds", 4, enumerate_posets),
-    ])
+        ([], 6, enumerate_bounded_posets),
+        (["--no-bounds"], 4, enumerate_posets),
+    ], ids=["bounded", "no-bounds"])
     def test_exhaustive_matches_enumeration(self, tmp_path, bounds, n, listing):
         # gen writes each representative as it is generated, in the order
         # the enumeration lists them.
         expected = listing(n)
         out = tmp_path / "e"
-        assert cli.main(["gen", "--model", "exhaustive", "--n", str(n), bounds,
+        assert cli.main(["gen", "--model", "exhaustive", "--n", str(n), *bounds,
                          "--out", str(out)]) == 0
         assert len(os.listdir(out)) == len(expected)
         assert [(out / f"poset_{i:05d}.poset").read_text(encoding="utf-8")
@@ -290,9 +341,15 @@ class TestRank:
 
     def test_matrix_input(self, tmp_path, capsys):
         path = write(tmp_path / "m.mat", "11\n01\n")
-        assert cli.main(["rank", path, "--matrix"]) == 0
+        assert cli.main(["rank", path]) == 0
         assert capsys.readouterr().out == ("x0 [1,1] spindle=true\n"
                                            "x1 [0,0] spindle=true\n")
+        # --conjugate reads it the same way: as the document of that poset.
+        doc = write(tmp_path / "m.poset", "elements: x0 x1\nx0 < x1\n")
+        assert cli.main(["rank", doc, "--conjugate"]) == 0
+        want = capsys.readouterr().out
+        assert cli.main(["rank", path, "--conjugate"]) == 0
+        assert capsys.readouterr().out == want
 
     def test_unbounded_input_exit(self, tmp_path, capsys):
         path = write(tmp_path / "anti.poset", "elements: a b\n")
@@ -317,6 +374,14 @@ class TestIterate:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "iterations: 1"
         assert out[1] == "levels: [TOP][a b][BOT]"
+
+    @pytest.mark.parametrize("rows, out", [
+        ("1111\n0101\n0011\n0001\n", ["iterations: 1", "levels: [x3][x1 x2][x0]"]),
+        ("1 1 1\n0 1 1\n0 0 1\n", ["iterations: 0", "levels: [x2][x1][x0]"]),
+    ], ids=["diamond", "chain"])
+    def test_matrix_input(self, tmp_path, capsys, rows, out):
+        assert cli.main(["iterate", write(tmp_path / "m.mat", rows)]) == 0
+        assert capsys.readouterr().out.splitlines() == out
 
     def test_chain_zero_iterations(self, tmp_path, capsys):
         p = chain(5)
@@ -397,7 +462,33 @@ class TestConjugateSearch:
     def test_span_budget(self, capsys):
         code = cli.main(["conjugate-search", "--lo", "0", "--hi", "4"])
         assert code == 3
-        assert "--force" in capsys.readouterr().err
+        assert capsys.readouterr() == (
+            "", "budget exceeded: ground of 15 intervals exceeds the search budget of 12\n")
+
+    def test_budget_refuses_spans_above_three(self, capsys, monkeypatch):
+        # The ground-size budget refuses exactly the spans the CLI's former
+        # span rule refused (span 3: 10 intervals, span 4: 15), before the
+        # search starts; --force lets every ground reach it.
+        searched = []
+        monkeypatch.setattr(intervals, "_orientations",
+                            lambda ground, limit: searched.append(len(ground)) or [])
+        for lo in range(6):
+            for span in range(7):
+                argv = ["conjugate-search", "--lo", str(lo), "--hi", str(lo + span)]
+                size = (span + 1) * (span + 2) // 2
+                del searched[:]
+                assert cli.main(argv) == (3 if span > 3 else 0), argv
+                assert searched == ([] if span > 3 else [size]), argv
+                del searched[:]
+                assert cli.main([*argv, "--force"]) == 0, argv
+                assert searched == [size], argv
+        capsys.readouterr()
+
+    def test_negative_endpoint_before_budget(self, capsys):
+        # An invalid endpoint is reported whatever the span.
+        for hi in ("2", "5"):
+            assert cli.main(["conjugate-search", "--lo", "-1", "--hi", hi]) == 2
+            assert capsys.readouterr() == ("", "error: need 0 <= lo_min <= hi_max\n")
 
     def test_force_lifts_span_budget(self, capsys):
         assert cli.main(["conjugate-search", "--lo", "0", "--hi", "4", "--force"]) == 0
@@ -584,25 +675,6 @@ def test_document_format_self_describing(tmp_path):
     path = tmp_path / "x.poset"
     write(path, format_poset_document(p))
     assert load_poset(str(path)) == p
-
-
-class TestWriteAtomic:
-    def test_failed_rename_leaves_nothing(self, tmp_path, monkeypatch):
-        def fail(src, dst):
-            raise OSError("rename refused")
-
-        monkeypatch.setattr(os, "replace", fail)
-        with pytest.raises(OSError, match="rename refused"):
-            cli._write_atomic(str(tmp_path / "out.poset"), "text\n")
-        assert os.listdir(tmp_path) == []
-
-    def test_file_gets_plain_open_mode(self, tmp_path):
-        cli._write_atomic(str(tmp_path / "a.poset"), "text\n")
-        with open(tmp_path / "b.poset", "w", encoding="utf-8"):
-            pass
-        assert (tmp_path / "a.poset").read_text(encoding="utf-8") == "text\n"
-        assert (tmp_path / "a.poset").stat().st_mode == (tmp_path / "b.poset").stat().st_mode
-        assert sorted(os.listdir(tmp_path)) == ["a.poset", "b.poset"]
 
 
 def test_import_does_not_load_numpy():

@@ -1,5 +1,6 @@
 import csv
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from intrank import (
     IterationRecord,
     aggregate_by,
     enumerate_bounded_posets,
+    experiments,
     iterate_to_chain,
     linear_fit,
     log_fit,
@@ -176,8 +178,43 @@ class TestCsv:
                 rec.final_chain_size, rec.final_height]
             assert float(row[7]) == float(rec.avg_rank_width)
 
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        # Records that fail part way leave the earlier CSV byte for byte,
+        # with no temporary file beside it.
+        path = tmp_path / "out.csv"
+        write_records_csv(run_iteration_experiment([chain(3), n5(), diamond()]), path)
+        before = path.read_bytes()
+
+        def failing():
+            yield run_iteration_experiment([chain(4)])[0]
+            raise OSError("records lost")
+
+        with pytest.raises(OSError, match="records lost"):
+            write_records_csv(failing(), path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["out.csv"]
+
     def test_record_is_plain_data(self):
         r = IterationRecord("x", 3, 3, 1, 0, 3, 3, Fraction(0))
         assert r.poset_id == "x"
         with pytest.raises(AttributeError):
             r.size = 4
+
+
+class TestWriteAtomic:
+    def test_failed_rename_leaves_nothing(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename refused"):
+            experiments._write_atomic(str(tmp_path / "out.poset"), "text\n")
+        assert os.listdir(tmp_path) == []
+
+    def test_file_gets_plain_open_mode(self, tmp_path):
+        experiments._write_atomic(str(tmp_path / "a.poset"), "text\n")
+        with open(tmp_path / "b.poset", "w", encoding="utf-8"):
+            pass
+        assert (tmp_path / "a.poset").read_text(encoding="utf-8") == "text\n"
+        assert (tmp_path / "a.poset").stat().st_mode == (tmp_path / "b.poset").stat().st_mode
+        assert sorted(os.listdir(tmp_path)) == ["a.poset", "b.poset"]
