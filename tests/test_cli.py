@@ -265,7 +265,7 @@ class TestGen:
     @pytest.mark.parametrize("bounds, n, listing", [
         ([], 6, enumerate_bounded_posets),
         (["--no-bounds"], 4, enumerate_posets),
-    ], ids=["bounded", "no-bounds"])
+    ], ids=["default-6-enumerate_bounded_posets", "--no-bounds-4-enumerate_posets"])
     def test_exhaustive_matches_enumeration(self, tmp_path, bounds, n, listing):
         # gen writes each representative as it is generated, in the order
         # the enumeration lists them.
@@ -675,6 +675,26 @@ def test_document_format_self_describing(tmp_path):
     path = tmp_path / "x.poset"
     write(path, format_poset_document(p))
     assert load_poset(str(path)) == p
+
+
+class TestWriteAtomic:
+    # The writer gen and iterate --dot share with stats --csv.
+    def test_failed_rename_leaves_nothing(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename refused"):
+            cli._write_atomic(str(tmp_path / "out.poset"), "text\n")
+        assert os.listdir(tmp_path) == []
+
+    def test_file_gets_plain_open_mode(self, tmp_path):
+        cli._write_atomic(str(tmp_path / "a.poset"), "text\n")
+        with open(tmp_path / "b.poset", "w", encoding="utf-8"):
+            pass
+        assert (tmp_path / "a.poset").read_text(encoding="utf-8") == "text\n"
+        assert (tmp_path / "a.poset").stat().st_mode == (tmp_path / "b.poset").stat().st_mode
+        assert sorted(os.listdir(tmp_path)) == ["a.poset", "b.poset"]
 
 
 def test_import_does_not_load_numpy():
