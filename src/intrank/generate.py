@@ -217,16 +217,16 @@ def random_graph_poset(cfg: GenConfig) -> Poset:
     """Transitive closure of an Erdos-Renyi graph oriented small-to-large.
 
     Each unordered pair {i, j} with i < j becomes the relation i <= j with
-    probability cfg.p, independently; the closure of the result is already
-    antisymmetric because edges always point upward in index order.
+    probability cfg.p, independently: one draw per pair, i then j
+    ascending, each kept pair passed to Poset.from_relation as it is drawn.
+    The closure is already antisymmetric because edges always point upward
+    in index order.
     """
     if cfg.model != "random-graph":
         raise ValueError("config is not for the random-graph model")
-    rng = random.Random(cfg.seed)
-    n = cfg.n
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if rng.random() < cfg.p]
-    p = Poset.from_relation(n, pairs)
+    draw, n, prob = random.Random(cfg.seed).random, cfg.n, cfg.p
+    p = Poset.from_relation(n, ((i, j) for i in range(n) for j in range(i + 1, n)
+                                if draw() < prob))
     return p.add_bounds() if cfg.add_bounds else p
 
 

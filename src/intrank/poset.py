@@ -129,11 +129,40 @@ def _close(rows: list[int], n: int) -> list[int]:
 def check_partial_order(rows: tuple[int, ...], n: int) -> None:
     """Raise if rows are not a reflexive, antisymmetric, transitive relation.
 
-    Runs all three checks, element by element in index order and over each
-    row's bits from the lowest: ValueError at the first element that is not
-    reflexive, CycleError at the first pair related both ways, ValueError at
-    the first pair where transitivity fails.
+    ValueError first if there are not n rows or a bit lies outside 0..n-1.
+    A decision pass then tests each row i: it holds bit i, and each j above
+    i has a row inside row i without bit i, whose elements row i then skips.
+    A skipped k needs no test of its own: the pass accepts only if row j
+    passes too, and row j is smaller than row i (it lacks i), so by
+    induction on row size k's row lies inside row j. On rows listed bottom
+    first, the lowest j above i is a cover of i, whose row often holds most
+    of the rest. Only when the pass refuses does the diagnosis scan run, in
+    index order over each row's bits from the lowest, to raise ValueError
+    at the first element that is not reflexive, CycleError at the first
+    pair related both ways or ValueError at the first pair where
+    transitivity fails.
     """
+    if len(rows) != n:
+        raise ValueError(f"{len(rows)} rows for {n} elements")
+    if n and (min(rows) < 0 or max(rows) >> n):
+        raise ValueError("relation bits out of range")
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        m = row ^ bit  # the strict up-set, if row i holds bit i
+        if m & bit:
+            _diagnose(rows, n)
+        outside = ~m
+        while m:
+            low = m & -m
+            up = rows[low.bit_length() - 1]
+            if up & outside:
+                _diagnose(rows, n)
+            m &= ~(up | low)
+
+
+def _diagnose(rows, n: int) -> None:
+    # The index-order scan that names the first violation; called only on
+    # rows the decision pass refused, so it always raises.
     for i in range(n):
         row = rows[i]
         bit = 1 << i
@@ -176,9 +205,8 @@ class Poset:
         n = len(rows)
         if n < 1:
             raise ValueError("a poset needs at least one element")
-        full = (1 << n) - 1
-        if min(rows) < 0 or max(rows) > full:
-            raise ValueError("relation bits out of range")
+        if not validate and (min(rows) < 0 or max(rows) >> n):
+            raise ValueError("relation bits out of range")  # else the check's guard
         if labels is None:
             labels = _default_labels(n)
         else:

@@ -255,31 +255,31 @@ def iterate_to_chain(p: Poset) -> IterationTrace:
     sweep gives its chain heights and the keys' hi ends the chain test. It
     is RankPoset(keys, blocks), so its order's rows are built and checked,
     and its `intervals` and `order` built, only when a caller first reads
-    them. Original elements are tracked through block membership, and the
-    levels of the final chain (top first) give the induced total preorder
-    on p. The iteration count is capped at |p|; hitting the cap raises
-    CapExceeded.
+    them. Once the chain is reached, its levels, top first, are composed
+    back through each earlier stage's blocks to the elements of p, once,
+    and each level is sorted: the induced total preorder on p. The
+    iteration count is capped at |p|; hitting the cap raises CapExceeded.
     """
     _require_rankable(p)
     if p.is_chain():
         # A chain's down heights are 1..n from the bottom up.
         return IterationTrace(p, (), 0, _group(p.down_heights)[1])
-    stage = rank_image(p)
-    stages = [stage]
-    keys = stage.keys
-    block_map = list(range(p.n))  # each element of p by its index in the stage's source
-    while True:
-        owner = {e: bi for bi, blk in enumerate(stage.blocks) for e in blk}
-        block_map = [owner[x] for x in block_map]
-        if _key_chain(keys):
-            break
+    stages = [rank_image(p)]
+    keys = stages[0].keys
+    while not _key_chain(keys):
         if len(stages) >= p.n:
             raise CapExceeded(f"no chain after {p.n} iterations")
         keys, blocks = _group(_ranks(*_key_heights(keys)))
-        stage = RankPoset(keys, blocks)
-        stages.append(stage)
-    # The final keys list the chain bottom first; descending, top first.
-    return IterationTrace(p, tuple(stages), len(stages), _group(block_map)[1])
+        stages.append(RankPoset(keys, blocks))
+    # The final keys list the chain bottom first, so its blocks reversed are
+    # the levels top first; each stage's blocks name keys of the stage
+    # before, and the first stage's name elements of p.
+    levels = stages[-1].blocks[::-1]
+    for stage in stages[-2::-1]:
+        blocks = stage.blocks
+        levels = [[e for b in level for e in blocks[b]] for level in levels]
+    return IterationTrace(p, tuple(stages), len(stages),
+                          tuple(tuple(sorted(level)) for level in levels))
 
 
 def total_preorder(p: Poset) -> tuple[tuple[int, ...], ...]:

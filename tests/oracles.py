@@ -9,7 +9,8 @@ import random
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from intrank import IntInterval, IntervalOrder, Poset, conjugate_rank, standard_rank
+from intrank import (CycleError, IntInterval, IntervalOrder, Poset, conjugate_rank,
+                     standard_rank)
 
 
 def closure_pairs(n, pairs):
@@ -24,6 +25,24 @@ def closure_pairs(n, pairs):
                     rel.add((a, d))
                     changed = True
     return rel
+
+
+def first_order_violation(n, rel):
+    """What check_partial_order raises on the relation `rel` (a set of pairs
+    on 0..n-1), as (type, message), or None for a partial order: elements
+    in index order, each tested for reflexivity, then its pairs (i, j) by j
+    ascending, each for antisymmetry, then for transitivity."""
+    for i in range(n):
+        if (i, i) not in rel:
+            return ValueError, f"relation is not reflexive at element {i}"
+        for j in range(n):
+            if j == i or (i, j) not in rel:
+                continue
+            if (j, i) in rel:
+                return CycleError, f"elements {i} and {j} are mutually related"
+            if any((j, k) in rel and (i, k) not in rel for k in range(n)):
+                return ValueError, f"relation is not transitive at ({i}, {j})"
+    return None
 
 
 def brute_height(p: Poset) -> int:
@@ -438,6 +457,23 @@ def brute_kdim_poset(cfg) -> Poset:
         rows.append(m)
     p = Poset(rows)
     return p.add_bounds() if cfg.add_bounds else p
+
+
+def brute_graph_poset(cfg) -> Poset:
+    """random_graph_poset by pairs: one draw per pair i < j, i then j
+    ascending, each kept as i <= j below cfg.p, closed by closure_pairs;
+    bounded as add_bounds documents, a new bottom n and top n + 1 named
+    BOT and TOP after the default names x0..x{n-1}."""
+    rng = random.Random(cfg.seed)
+    n = cfg.n
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < cfg.p]
+    labels = [f"x{i}" for i in range(n)]
+    if cfg.add_bounds:
+        pairs += [(n, k) for k in range(n + 2)] + [(k, n + 1) for k in range(n + 2)]
+        labels += ["BOT", "TOP"]
+        n += 2
+    rel = closure_pairs(n, pairs)
+    return Poset([sum(1 << j for j in range(n) if (i, j) in rel) for i in range(n)], labels)
 
 
 # Each interval order's x <= y, with every endpoint comparison written out.

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import sys
 import types
 
@@ -11,7 +12,7 @@ import oracles
 from conftest import (antichain, boolean_lattice, bounded_chains, chain, crowns, cube3,
                       diamond, n5, standard_example)
 from intrank import (CycleError, GenConfig, IntInterval, NotComparable, OrderRelationTable, Poset,
-                     SubsetView, UnboundedError, generate)
+                     SubsetView, UnboundedError, generate, random_graph_poset)
 from intrank.poset import check_partial_order
 
 
@@ -90,6 +91,18 @@ class TestFromRelation:
     def test_row_bits_outside_the_elements(self, rows):
         with pytest.raises(ValueError, match="relation bits out of range"):
             Poset(rows)
+        with pytest.raises(ValueError, match="^relation bits out of range$"):
+            check_partial_order(rows, len(rows))
+
+    @pytest.mark.parametrize("rows, n, message", [
+        ((1, 2), 1, "2 rows for 1 elements"),
+        ((1,), 2, "1 rows for 2 elements"),
+        ((0b11,), 1, "relation bits out of range"),
+        ((0b01, 0b110), 2, "relation bits out of range"),
+    ])
+    def test_check_partial_order_rejects_malformed_rows(self, rows, n, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_partial_order(rows, n)
 
 
 class TestDunders:
@@ -112,6 +125,20 @@ def relations(n, max_size=12):
 
 def pair_rows(n, pairs):
     return tuple(sum(1 << j for i, j in pairs if i == a) for a in range(n))
+
+
+def check_as_oracle(rel, n):
+    # check_partial_order on rel's rows passes iff the scan oracle finds no
+    # violation, and otherwise raises exactly the oracle's type and message.
+    expected = oracles.first_order_violation(n, rel)
+    if expected is None:
+        check_partial_order(pair_rows(n, rel), n)
+        return None
+    kind, message = expected
+    with pytest.raises(kind, match=f"^{re.escape(message)}$") as raised:
+        check_partial_order(pair_rows(n, rel), n)
+    assert type(raised.value) is kind
+    return kind
 
 
 class TestValidationProperties:
@@ -147,18 +174,38 @@ class TestValidationProperties:
         reflexive = all((a, a) in rel for a in range(n))
         antisymmetric = not any(a != b and (b, a) in rel for a, b in rel)
         transitive = all((a, d) in rel for a, b in rel for c, d in rel if b == c)
-        rows = pair_rows(n, rel)
+        kind = check_as_oracle(rel, n)
         if reflexive and antisymmetric and transitive:
-            check_partial_order(rows, n)
+            assert kind is None
         elif reflexive and transitive:
-            with pytest.raises(CycleError):
-                check_partial_order(rows, n)
+            assert kind is CycleError
         elif antisymmetric:
-            with pytest.raises(ValueError):
-                check_partial_order(rows, n)
+            assert kind is ValueError
         else:
-            with pytest.raises((ValueError, CycleError)):
-                check_partial_order(rows, n)
+            assert kind is not None
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_check_partial_order_messages_on_near_orders(self, n):
+        # Random-graph orders point upward, so they are listed bottom first;
+        # reversed they are listed top first, and shuffled in no order. Each
+        # is checked as it is and with one to three pairs flipped (the
+        # diagonal too), so that in every listing some refusals come only
+        # after rows whose elements the decision pass skipped.
+        rng = random.Random(n)
+        for seed in range(30):
+            cfg = GenConfig("random-graph", n, p=rng.choice((0.2, 0.5, 0.8)), seed=seed,
+                            add_bounds=False)
+            order = {(i, j) for i, row in enumerate(random_graph_poset(cfg).rows)
+                     for j in range(n) if row >> j & 1}
+            shuffled = rng.sample(range(n), n)
+            for perm in (range(n), range(n - 1, -1, -1), shuffled):
+                listed = {(perm[i], perm[j]) for i, j in order}
+                assert check_as_oracle(listed, n) is None
+                for flips in (1, 2, 3):
+                    rel = set(listed)
+                    for _ in range(flips):
+                        rel ^= {(rng.randrange(n), rng.randrange(n))}
+                    check_as_oracle(rel, n)
 
 
 class TestCovers:

@@ -310,6 +310,14 @@ class TestRandomGraphModel:
         assert (random_graph_poset(graph_cfg(8, 0.5, 42))
                 == random_graph_poset(graph_cfg(8, 0.5, 42)))
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_pair_oracle(self, n):
+        for prob in (0.0, 0.3, 0.5, 1.0):
+            for seed in range(6):
+                for add_bounds in (True, False):
+                    cfg = graph_cfg(n, prob, seed, add_bounds)
+                    assert random_graph_poset(cfg) == oracles.brute_graph_poset(cfg)
+
     def test_density_monotone_in_p(self):
         means = []
         for prob in (0.0, 0.5, 1.0):
