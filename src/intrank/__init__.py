@@ -16,7 +16,7 @@ from .errors import (
     TooSmall,
     UnboundedError,
 )
-from .poset import CoverRelation, Poset, SubsetView, check_partial_order
+from .poset import Poset, SubsetView, check_partial_order
 from .intervals import (
     IntInterval,
     IntervalOrder,

@@ -57,7 +57,7 @@ def format_poset_document(p: Poset) -> str:
         if not _valid_name(name):
             raise InvalidDocument(f"label {name!r} cannot be written to a poset document")
     lines = ["# poset document", "elements: " + " ".join(p.labels)]
-    for a, b in p.covers():
+    for a, b in sorted(p.covers()):
         lines.append(f"{p.labels[a]} < {p.labels[b]}")
     return "\n".join(lines) + "\n"
 
@@ -133,7 +133,7 @@ def poset_to_dot(p: Poset, name: str = "poset") -> str:
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
     for label in p.labels:
         lines.append(f"  {q(label)};")
-    for a, b in p.covers():
+    for a, b in sorted(p.covers()):
         lines.append(f"  {q(p.labels[a])} -> {q(p.labels[b])};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -208,7 +208,7 @@ def _cmd_conjugates(args) -> int:
                                        max_ground=None if args.force else CONJ_MAX_GROUND)
     strong = OrderRelationTable.from_order(all_intervals(args.lo, args.hi), "strong")
     for i, t in enumerate(tables):
-        shown = ", ".join(f"{t.ground[a]}<{t.ground[b]}" for a, b in t.covers())
+        shown = ", ".join(f"{t.ground[a]}<{t.ground[b]}" for a, b in sorted(t.covers()))
         print(f"order {i}: {shown if shown else '(no relations)'}")
         print(f"  conjugate: {'true' if are_conjugate(t, strong) else 'false'}")
     classes = group_conjugates_by_isomorphism(tables)

@@ -124,14 +124,14 @@ class OrderRelationTable(Poset):
     """An explicit partial order over a fixed tuple of intervals.
 
     A Poset whose labels name the intervals of `ground`: bit j of rows[i] is
-    set iff ground[i] <= ground[j]. The constructor validates the poset
+    set iff ground[i] <= ground[j]. The constructor checks the poset
     axioms, unless the package passes rows it has checked already, and its
     distinct-label check rejects a repeated interval.
     """
 
     def __init__(self, ground, rows, *, _checked: bool = False):
         self.ground = tuple(ground)
-        super().__init__(rows, self.ground, validate=not _checked)
+        super().__init__(rows, self.ground, _checked=_checked)
 
     @classmethod
     def from_order(cls, ground, order: IntervalOrder | str) -> "OrderRelationTable":

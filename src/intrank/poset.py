@@ -181,32 +181,15 @@ def _diagnose(rows, n: int) -> None:
                 raise ValueError(f"relation is not transitive at ({i}, {j})")
 
 
-@dataclass(frozen=True)
-class CoverRelation:
-    """Transitive reduction of a poset, as a set of (lower, upper) pairs."""
-
-    pairs: frozenset[tuple[int, int]]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(sorted(self.pairs))
-
-    def __contains__(self, pair) -> bool:
-        return pair in self.pairs
-
-
 class Poset:
     """A finite poset; ``rows[i]`` is the bitset of elements above-or-equal i."""
 
-    def __init__(self, rows, labels=None, *, validate: bool = True):
+    def __init__(self, rows, labels=None, *, _checked: bool = False):
+        # The package passes _checked only for rows it built as a partial order.
         rows = tuple(rows)
         n = len(rows)
         if n < 1:
             raise ValueError("a poset needs at least one element")
-        if not validate and (min(rows) < 0 or max(rows) >> n):
-            raise ValueError("relation bits out of range")  # else the check's guard
         if labels is None:
             labels = _default_labels(n)
         else:
@@ -215,7 +198,7 @@ class Poset:
                 raise ValueError("label count must match element count")
             if len(set(labels)) != n:
                 raise ValueError("labels must be distinct")
-        if validate:
+        if not _checked:
             check_partial_order(rows, n)
         self.n = n
         self.rows = rows
@@ -229,7 +212,7 @@ class Poset:
         so what it returns is a partial order and is not checked again.
         Raises IndexError for pairs mentioning elements outside 0..n-1.
         """
-        return cls(_close(_pair_rows(n, generators), n), labels, validate=False)
+        return cls(_close(_pair_rows(n, generators), n), labels, _checked=True)
 
     # -- basic queries -------------------------------------------------
 
@@ -243,7 +226,10 @@ class Poset:
         return self.leq(a, b) or self.leq(b, a)
 
     def index(self, label: str) -> int:
-        return self.labels.index(label)
+        try:
+            return self.labels.index(label)
+        except ValueError:
+            raise ValueError(f"no element labelled {label!r}") from None
 
     def __len__(self) -> int:
         return self.n
@@ -289,9 +275,9 @@ class Poset:
         strict = self.strict_rows
         return tuple(s & ~reduce(or_, (strict[k] for k in _bits(s)), 0) for s in strict)
 
-    def covers(self) -> CoverRelation:
+    def covers(self) -> frozenset[tuple[int, int]]:
         """Transitive reduction as (lower, upper) pairs."""
-        return CoverRelation(frozenset(_row_pairs(self.cover_rows)))
+        return frozenset(_row_pairs(self.cover_rows))
 
     # -- chains and heights ----------------------------------------------
 
@@ -464,13 +450,13 @@ class Poset:
         rows.append(full)       # new bottom, below everything
         rows.append(1 << top)   # new top, above nothing
         # construction preserves the poset axioms and the distinct labels
-        bounded = Poset(rows, validate=False)
+        bounded = Poset(rows, _checked=True)
         bounded.labels = _bounded_labels(self.labels)
         return bounded
 
     def dual(self) -> "Poset":
         """The same elements with the order reversed."""
-        return Poset(self.down_rows, self.labels, validate=False)
+        return Poset(self.down_rows, self.labels, _checked=True)
 
     # -- subset views ------------------------------------------------------
 
@@ -685,4 +671,4 @@ class SubsetView:
         up = [self.parent.rows[e] for e in self.members]
         rows = _pair_rows(len(up), ((i, idx[j]) for i, j in _row_pairs(up) if j in idx))
         labels = tuple(self.parent.labels[e] for e in self.members)
-        return Poset(rows, labels, validate=False)
+        return Poset(rows, labels, _checked=True)

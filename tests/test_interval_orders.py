@@ -190,6 +190,8 @@ class TestOrderRelationTable:
         ground = (iv(0, 0), iv(1, 1))
         with pytest.raises(CycleError):
             OrderRelationTable(ground, (0b11, 0b11))  # mutual relation
+        with pytest.raises(ValueError, match="not transitive"):
+            OrderRelationTable(ground + (iv(2, 2),), (0b011, 0b110, 0b100))
 
     def test_is_its_own_poset(self):
         ground = all_intervals(1, 3)

@@ -12,7 +12,8 @@ import oracles
 from conftest import (antichain, boolean_lattice, bounded_chains, chain, crowns, cube3,
                       diamond, n5, standard_example)
 from intrank import (CycleError, GenConfig, IntInterval, NotComparable, OrderRelationTable, Poset,
-                     SubsetView, UnboundedError, generate, random_graph_poset)
+                     SubsetView, UnboundedError, conjugate_image, generate, iterate_to_chain,
+                     random_corpus, random_graph_poset)
 from intrank.poset import check_partial_order
 
 
@@ -62,6 +63,8 @@ class TestFromRelation:
             Poset.from_relation(2, [], labels=("a",))
         with pytest.raises(ValueError):
             Poset.from_relation(2, [], labels=("a", "a"))
+        with pytest.raises(ValueError, match="^no element labelled 'q'$"):
+            n5().index("q")
 
     def test_default_labels_shared_per_size(self):
         # Posets built without labels read x0..x{n-1}, from one tuple per size.
@@ -82,6 +85,10 @@ class TestFromRelation:
     def test_direct_construction_validates(self):
         with pytest.raises(ValueError):
             Poset((0b10, 0b11))  # row 0 lacks its own reflexive bit
+        with pytest.raises(CycleError):
+            Poset((0b11, 0b11))
+        with pytest.raises(ValueError, match="not transitive"):
+            Poset((0b011, 0b110, 0b100))
         with pytest.raises(ValueError):
             check_partial_order((0b011, 0b110, 0b100), 3)  # 0<1<2 but not 0<2
         with pytest.raises(CycleError):
@@ -210,11 +217,11 @@ class TestValidationProperties:
 
 class TestCovers:
     def test_chain_reduction(self):
-        assert set(chain(3).covers().pairs) == {(0, 1), (1, 2)}
+        assert set(chain(3).covers()) == {(0, 1), (1, 2)}
 
     def test_redundant_edge_removed(self):
         p = Poset.from_relation(3, [(0, 1), (1, 2), (0, 2)])
-        assert set(p.covers().pairs) == {(0, 1), (1, 2)}
+        assert set(p.covers()) == {(0, 1), (1, 2)}
 
     def test_antichain_empty(self):
         assert len(antichain(3).covers()) == 0
@@ -226,7 +233,7 @@ class TestCovers:
 
     def test_closure_of_covers_recovers_relation(self, free_posets_by_size):
         for p in free_posets_by_size[5]:
-            rebuilt = Poset.from_relation(p.n, list(p.covers().pairs))
+            rebuilt = Poset.from_relation(p.n, p.covers())
             assert rebuilt.rows == p.rows
 
 
@@ -275,8 +282,8 @@ class TestSubsetViews:
 
     @pytest.mark.parametrize("members", [(-1,), (3,), (0, 1, 3)])
     def test_members_out_of_range(self, members):
-        # as_poset builds without validation, so a member outside 0..n-1 is
-        # refused when the view is made.
+        # as_poset builds without checking its rows, so a member outside
+        # 0..n-1 is refused when the view is made.
         bad = members[0] if members[0] < 0 else members[-1]
         with pytest.raises(IndexError) as err:
             SubsetView(chain(3), members)
@@ -353,7 +360,7 @@ class TestChains:
     def test_long_chain_maximal_chains(self):
         n = 1500
         full = (1 << n) - 1
-        p = Poset([full >> i << i for i in range(n)], validate=False)
+        p = Poset([full >> i << i for i in range(n)])
         assert p.maximal_chains() == [tuple(range(n))]
 
     def test_bounded_chains_run_bottom_to_top(self, bounded_corpus):
@@ -426,6 +433,26 @@ class TestShapeOps:
         assert diamond().is_bounded()
         assert not antichain(2).is_bounded()
         assert chain(1).is_bounded()
+
+    def test_unchecked_constructions_are_partial_orders(self, bounded_corpus):
+        # Each package site that builds a Poset without checking its rows,
+        # run over enumerated, random-graph and random-kdim posets and their
+        # rank images, gives rows the check accepts.
+        sources = list(bounded_corpus)
+        for model in ("random-graph", "random-kdim"):
+            sources += random_corpus(model, range(4, 14), 5, seed=0)
+        images = [stage.order for p in sources
+                  for stage in [conjugate_image(p), *iterate_to_chain(p).stages]]
+        built = []
+        for q in sources + images:
+            a = q.n // 2
+            built += [Poset.from_relation(q.n, q.covers()), q.add_bounds(), q.dual(),
+                      q.upset(a).as_poset(), q.downset(a).as_poset(), q.hourglass(a).as_poset()]
+        for r in images:
+            built.append(OrderRelationTable.from_relation(r.ground, r.covers()))
+        assert len(images) > len(bounded_corpus)
+        for q in built:
+            check_partial_order(q.rows, q.n)
 
     def test_height_morphisms(self, bounded_corpus):
         # up-heights strictly drop and down-heights strictly grow along <
