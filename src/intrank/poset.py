@@ -533,20 +533,15 @@ class Poset:
         # automorphisms fixing the path. The form is kept with the order of
         # the least leaf (the canonical order) and the automorphisms found,
         # as image lists; with the swaps of twins they generate Aut P.
-        n, rows, down = self.n, self.rows, self.down_rows
+        n, rows = self.n, self.rows
         seed: dict = {}
         for i, key in enumerate(zip(self.up_heights, self.down_heights)):
             seed[key] = seed.get(key, 0) | 1 << i
         found: list = []  # (rows, order, path) of the first leaf, then of the least
         autos: list[list[int]] = []  # automorphisms found, as image lists
-
-        def twins(cell: int) -> bool:
-            # Members of a cell are incomparable (chain heights differ
-            # along <), so they are twins iff they agree outside the cell.
-            rest = ~cell
-            x = (cell & -cell).bit_length() - 1
-            u, d = rows[x] & rest, down[x] & rest
-            return all(rows[y] & rest == u and down[y] & rest == d for y in _bits(cell))
+        # Members of a cell are incomparable (chain heights differ along <),
+        # so it is a class of twins iff it lies in its least member's class.
+        twin = self._twins
 
         def leaf(order: list[int], path: list[int]) -> int | None:
             pos = [0] * n
@@ -577,7 +572,7 @@ class Poset:
         def search(cells: list[int], splitters: list[int], path: list[int]) -> int | None:
             # Returns None, or the depth of the node to resume at.
             cells = self._refine(cells, splitters)
-            target = next((c for c in cells if c & (c - 1) and not twins(c)), 0)
+            target = next((c for c in cells if c & ~twin[(c & -c).bit_length() - 1]), 0)
             if not target:
                 return leaf([e for c in cells for e in _bits(c)], path)
             at = cells.index(target)
@@ -611,13 +606,18 @@ class Poset:
         """
         return self._canonical[0]
 
-    def _twin_classes(self) -> list[int]:
-        # Classes of twins (equal strict up- and down-sets) as element
-        # masks, by least member.
+    @cached_property
+    def _twins(self) -> list[int]:
+        # Each element's class of twins (equal strict up- and down-sets).
+        keys = list(zip(self.strict_rows, self.strict_down_rows))
         classes: dict = {}
-        for e, key in enumerate(zip(self.strict_rows, self.strict_down_rows)):
+        for e, key in enumerate(keys):
             classes[key] = classes.get(key, 0) | 1 << e
-        return list(classes.values())
+        return [classes[key] for key in keys]
+
+    def _twin_classes(self) -> list[int]:
+        # The classes of twins, by least member.
+        return list(dict.fromkeys(self._twins))
 
     def _orbits(self) -> list[int]:
         """The orbits of Aut P as element masks, by least member.

@@ -14,6 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 
 from . import poset
 from .errors import CapExceeded, RangeError, TooSmall, UnboundedError
@@ -44,29 +45,29 @@ def _require_rankable(p: Poset) -> None:
         raise UnboundedError("rank operators need a bottom and a top element")
 
 
-def _ranks(up, down, conjugate: bool = False) -> list[tuple[int, int]]:
-    # (lo, hi) of each element's standard or conjugate rank, from its up and
-    # down chain heights; the largest up height is the height h.
+def _ranks(up, down, relation: IntervalOrder = IntervalOrder.DUAL_WEAK) -> list[tuple[int, int]]:
+    # (lo, hi) of each element's standard rank, or conjugate rank under
+    # containment, from its up and down chain heights; max(up) is the height.
     h = max(up)
-    if conjugate:
+    if relation is IntervalOrder.SUBSET:
         return [(u - 1, h + d - 2) for u, d in zip(up, down)]
     return [(u - 1, h - d) for u, d in zip(up, down)]
 
 
-def _endpoints(p: Poset, conjugate: bool) -> list[tuple[int, int]]:
+def _endpoints(p: Poset, relation: IntervalOrder) -> list[tuple[int, int]]:
     _require_rankable(p)
-    return _ranks(p.up_heights, p.down_heights, conjugate)
+    return _ranks(p.up_heights, p.down_heights, relation)
 
 
 def standard_rank(p: Poset) -> RankAssignment:
     """Assign [up_heights[a]-1, height - down_heights[a]] to each element."""
-    ranks = tuple(IntInterval(lo, hi) for lo, hi in _endpoints(p, False))
+    ranks = tuple(IntInterval(lo, hi) for lo, hi in _endpoints(p, IntervalOrder.DUAL_WEAK))
     return RankAssignment(p, ranks, p.height() - 1)
 
 
 def conjugate_rank(p: Poset) -> RankAssignment:
     """Assign [up_heights[a]-1, height + down_heights[a] - 2] to each element."""
-    ranks = tuple(IntInterval(lo, hi) for lo, hi in _endpoints(p, True))
+    ranks = tuple(IntInterval(lo, hi) for lo, hi in _endpoints(p, IntervalOrder.SUBSET))
     return RankAssignment(p, ranks, 2 * (p.height() - 1))
 
 
@@ -99,17 +100,17 @@ class RankPoset:
 
     `keys` lists the distinct (lo, hi) rank values in a fixed linear
     extension of the image order (image bottom first); `blocks[i]` are the
-    source elements whose rank is keys[i]. `conjugate` picks the image
-    order: containment for conjugate ranks, dual-weak otherwise. The image
-    order's bitset rows are built from the keys and checked as a partial
-    order when first needed. `intervals` and `order`, an
-    OrderRelationTable over the intervals on those rows, are built when
-    first read.
+    source elements whose rank is keys[i]. `relation` is the image order:
+    dual-weak for standard ranks, containment (SUBSET) for conjugate ranks.
+    The chain test reads the keys alone; the order's bitset rows are built
+    from the keys and checked as a partial order when first needed, and
+    `intervals` and `order`, an OrderRelationTable over the intervals on
+    those rows, when first read.
     """
 
     keys: tuple[tuple[int, int], ...]
     blocks: tuple[tuple[int, ...], ...]
-    conjugate: bool = False
+    relation: IntervalOrder = IntervalOrder.DUAL_WEAK
 
     @cached_property
     def intervals(self) -> tuple[IntInterval, ...]:
@@ -120,8 +121,7 @@ class RankPoset:
         # Rank endpoints are at most 2n, so they index the endpoint masks
         # directly. The check is called through the poset module, so that
         # replacing it there replaces it here too.
-        rows = _endpoint_rows(self.keys, IntervalOrder.SUBSET if self.conjugate
-                              else IntervalOrder.DUAL_WEAK)
+        rows = _endpoint_rows(self.keys, self.relation)
         poset.check_partial_order(rows, len(rows))
         return rows
 
@@ -133,7 +133,10 @@ class RankPoset:
         return len(self.blocks)
 
     def is_chain(self) -> bool:
-        return self.order.is_chain()
+        # Listed bottom first, no lo steps against its direction, so the
+        # keys form a chain iff no hi steps against its own either.
+        his = [hi for _, hi in self.keys]
+        return his == sorted(his, reverse=_DIRECTIONS[self.relation][1] < 0)
 
     def block_index(self, element: int) -> int:
         for i, blk in enumerate(self.blocks):
@@ -142,22 +145,23 @@ class RankPoset:
         raise LookupError(f"element {element} not in any block")
 
 
-def _group(values, key=None):
-    # The distinct values, sorted descending by `key`, and the elements
-    # holding each, in element order.
+def _group(values, relation: IntervalOrder = IntervalOrder.DUAL_WEAK):
+    # The distinct (lo, hi) values listed bottom first in the relation,
+    # ascending in each endpoint times its direction (two stable sorts, hi
+    # then lo), and the elements holding each, in element order.
     groups: dict = {}
     for a, value in enumerate(values):
         groups.setdefault(value, []).append(a)
-    distinct = tuple(sorted(groups, key=key, reverse=True))
-    return distinct, tuple(tuple(groups[value]) for value in distinct)
+    d_lo, d_hi = _DIRECTIONS[relation]
+    distinct = sorted(groups, key=itemgetter(1), reverse=d_hi < 0)
+    distinct.sort(key=itemgetter(0), reverse=d_lo < 0)
+    return tuple(distinct), tuple(tuple(groups[value]) for value in distinct)
 
 
-def _image(p: Poset, conjugate: bool) -> RankPoset:
-    # Conjugate ranks are listed by (-lo, hi), standard ranks in descending
-    # (lo, hi) order. The image order's rows are checked here, as the image
-    # is built; its table is built only when `order` is first read.
-    key = (lambda k: (k[0], -k[1])) if conjugate else None
-    image = RankPoset(*_group(_endpoints(p, conjugate), key), conjugate)
+def _image(p: Poset, relation: IntervalOrder) -> RankPoset:
+    # The image order's rows are checked here, as the image is built; its
+    # table is built only when `order` is first read.
+    image = RankPoset(*_group(_endpoints(p, relation), relation), relation)
     image._rows
     return image
 
@@ -169,7 +173,7 @@ def rank_image(p: Poset) -> RankPoset:
     descending by (lo, hi), a linear extension of the image order that
     starts at the image of the bottom element.
     """
-    return _image(p, False)
+    return _image(p, IntervalOrder.DUAL_WEAK)
 
 
 def conjugate_image(p: Poset) -> RankPoset:
@@ -179,7 +183,7 @@ def conjugate_image(p: Poset) -> RankPoset:
     interval list is sorted by (-lo, hi), a linear extension of the image
     order that starts at the image of the bottom element.
     """
-    return _image(p, True)
+    return _image(p, IntervalOrder.SUBSET)
 
 
 def rank_all(p: Poset) -> Poset:
@@ -189,7 +193,7 @@ def rank_all(p: Poset) -> Poset:
     standard rank of b in both endpoints-at-least senses (dual-weak).
     Labels are preserved; the result always extends the original order.
     """
-    keys = _endpoints(p, False)
+    keys = _endpoints(p, IntervalOrder.DUAL_WEAK)
     up = _endpoint_rows(keys, IntervalOrder.DUAL_WEAK)
     down = _endpoint_rows(keys, IntervalOrder.WEAK)
     # Equal ranks relate both ways, so up & down is exactly the equal ranks.
@@ -241,36 +245,31 @@ def _key_heights(keys: tuple[tuple[int, int], ...]) -> tuple[list[int], list[int
     return heights[0][::-1], heights[1]
 
 
-def _key_chain(keys: tuple[tuple[int, int], ...]) -> bool:
-    # Distinct keys listed descending form a chain iff no hi rises.
-    return all(a[1] >= b[1] for a, b in zip(keys, keys[1:]))
-
-
 def iterate_to_chain(p: Poset) -> IterationTrace:
     """Apply rank_image until the image is a chain.
 
     A chain input takes zero iterations. The first stage is rank_image(p).
     Each later stage ranks the distinct (lo, hi) keys of the one before,
     a partial order of dimension at most 2: a longest-increasing-subsequence
-    sweep gives its chain heights and the keys' hi ends the chain test. It
-    is RankPoset(keys, blocks), so its order's rows are built and checked,
-    and its `intervals` and `order` built, only when a caller first reads
-    them. Once the chain is reached, its levels, top first, are composed
-    back through each earlier stage's blocks to the elements of p, once,
-    and each level is sorted: the induced total preorder on p. The
-    iteration count is capped at |p|; hitting the cap raises CapExceeded.
+    sweep gives its chain heights. It is RankPoset(keys, blocks), listed
+    as rank_image lists its keys. Every stage tests for a chain on its keys
+    alone, so a later stage's order rows are built and checked, and its
+    `intervals` and `order` built, only when a caller first reads them.
+    Once the chain is reached, its levels, top first, are composed back
+    through each earlier stage's blocks to the elements of p, once, and
+    each level is sorted: the induced total preorder on p. The iteration
+    count is capped at |p|; hitting the cap raises CapExceeded.
     """
     _require_rankable(p)
     if p.is_chain():
         # A chain's down heights are 1..n from the bottom up.
-        return IterationTrace(p, (), 0, _group(p.down_heights)[1])
+        top_first = sorted(range(p.n), key=p.down_heights.__getitem__, reverse=True)
+        return IterationTrace(p, (), 0, tuple((a,) for a in top_first))
     stages = [rank_image(p)]
-    keys = stages[0].keys
-    while not _key_chain(keys):
+    while not stages[-1].is_chain():
         if len(stages) >= p.n:
             raise CapExceeded(f"no chain after {p.n} iterations")
-        keys, blocks = _group(_ranks(*_key_heights(keys)))
-        stages.append(RankPoset(keys, blocks))
+        stages.append(RankPoset(*_group(_ranks(*_key_heights(stages[-1].keys)))))
     # The final keys list the chain bottom first, so its blocks reversed are
     # the levels top first; each stage's blocks name keys of the stage
     # before, and the first stage's name elements of p.
@@ -289,4 +288,4 @@ def total_preorder(p: Poset) -> tuple[tuple[int, ...], ...]:
 
 def average_rank_width(p: Poset) -> Fraction:
     """Mean standard-rank interval width, exact."""
-    return Fraction(sum(hi - lo for lo, hi in _endpoints(p, False)), p.n)
+    return Fraction(sum(hi - lo for lo, hi in _endpoints(p, IntervalOrder.DUAL_WEAK)), p.n)

@@ -559,13 +559,14 @@ class TestIsomorphism:
 
     @pytest.mark.parametrize("points,blocks,nodes", [
         (7, FANO, 13), (9, AG23, 13), (10, PETERSEN, 10), (8, CUBE, 7),
-        (6, K33, 12), (4, K4, 7), (5, K5, 12),
-    ], ids=["fano", "ag23", "petersen", "cube", "k33", "k4", "k5"])
+        (6, K33, 12), (4, K4, 7), (5, K5, 12), (4, K4 + K4, 8),
+    ], ids=["fano", "ag23", "petersen", "cube", "k33", "k4", "k5", "k4-doubled"])
     def test_search_node_counts(self, points, blocks, nodes):
         # Incidence posets are vertex- and block-transitive, so the search
         # skips each member in the orbit, under the automorphisms fixing the
         # path, of one already tried. With no orbit pruning it takes 35, 56,
-        # 53, 28, 35, 16 and 42 nodes.
+        # 53, 28, 35, 16 and 42 nodes. Doubling each block of K4 gives cells
+        # of twins, which the search never splits; splitting them takes 33.
         p = Poset.from_relation(points + len(blocks),
                                 [(x, points + k) for k, blk in enumerate(blocks) for x in blk])
         search = next(c for c in Poset._canonical.func.__code__.co_consts

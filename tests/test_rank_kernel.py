@@ -5,8 +5,8 @@ endpoint masks (intervals._endpoint_rows); the oracles compare every pair of
 intervals. Both must give
 the same intervals, rows, labels and blocks, and iterate_to_chain the same
 stages and preorder levels. After its first stage, iterate_to_chain ranks
-integer keys alone (rank._key_heights, rank._key_chain); the oracles rank
-every stage's poset.
+integer keys alone (rank._key_heights, RankPoset.is_chain); the oracles
+rank every stage's poset.
 """
 
 import pytest
@@ -17,6 +17,7 @@ from intrank import (
     GenConfig,
     IntervalOrder,
     Poset,
+    RankPoset,
     conjugate_image,
     iterate_to_chain,
     random_graph_poset,
@@ -25,7 +26,7 @@ from intrank import (
     rank_image,
 )
 from intrank.intervals import _endpoint_rows
-from intrank.rank import _key_chain, _key_heights
+from intrank.rank import _key_heights
 
 from oracles import (
     brute_heights,
@@ -87,8 +88,13 @@ def test_large_random_graph(n):
 @given(st.sets(st.integers(0, 12).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo, 12))),
                min_size=1, max_size=20))
 def test_key_kernel_matches_induced_poset(keys):
-    # Stage keys are distinct and listed descending, as _image lists them.
-    keys = sorted(keys, reverse=True)
-    p = Poset(_endpoint_rows(keys, IntervalOrder.DUAL_WEAK))
-    assert tuple(map(tuple, _key_heights(keys))) == brute_heights(p)
-    assert _key_chain(keys) == brute_is_chain(p)
+    # Stage keys are distinct and listed bottom first, as _image lists them:
+    # descending under the dual-weak order, by (-lo, hi) under containment.
+    blocks = tuple((i,) for i in range(len(keys)))
+    dual_weak = sorted(keys, reverse=True)
+    p = Poset(_endpoint_rows(dual_weak, IntervalOrder.DUAL_WEAK))
+    assert tuple(map(tuple, _key_heights(dual_weak))) == brute_heights(p)
+    assert RankPoset(dual_weak, blocks).is_chain() == brute_is_chain(p)
+    contained = sorted(keys, key=lambda k: (-k[0], k[1]))
+    assert RankPoset(contained, blocks, IntervalOrder.SUBSET).is_chain() == \
+        brute_is_chain(Poset(_endpoint_rows(contained, IntervalOrder.SUBSET)))

@@ -1,12 +1,14 @@
-"""The README's library tour runs as a doctest, and its command line
-section names every option of the CLI."""
+"""The README's library tour runs as a doctest, its command line section
+names every option of the CLI, and its rank iteration section every field
+of RankPoset."""
 
 import argparse
+import dataclasses
 import doctest
 import re
 from pathlib import Path
 
-from intrank import cli
+from intrank import RankPoset, cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -29,3 +31,9 @@ def test_command_line_section_names_every_option():
                if not isinstance(action, argparse._HelpAction) for opt in action.option_strings}
     assert options - named == set()
     assert named - options == set()
+
+
+def test_rank_iteration_section_names_every_rank_poset_field():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n### Rank iteration\n", 1)[1].split("\n#", 1)[0]
+    assert [f.name for f in dataclasses.fields(RankPoset) if f"`{f.name}`" not in section] == []
