@@ -64,7 +64,7 @@ def format_poset_document(p: Poset) -> str:
 
 def parse_poset_document(text: str) -> Poset:
     names: list[str] | None = None
-    pairs: list[tuple[str, str]] = []
+    pairs: list[tuple[int, str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -167,9 +167,9 @@ def _cmd_rank(args) -> int:
             print(f"{p.labels[a]} {ra.ranks[a]}")
     else:
         ra = standard_rank(p)
-        spindle = set(p.spindle_elements())
         for a in range(p.n):
-            flag = "true" if a in spindle else "false"
+            # A standard rank is a point exactly on the spindle elements.
+            flag = "true" if ra.ranks[a].width() == 0 else "false"
             print(f"{p.labels[a]} {ra.ranks[a]} spindle={flag}")
     return EXIT_OK
 

@@ -6,15 +6,13 @@ import csv
 import io
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import log
+from operator import add, attrgetter
 
 from .errors import DegenerateInput, DomainError, EmptyInput
 from .rank import average_rank_width, iterate_to_chain
-
-CSV_COLUMNS = ("poset_id", "size", "height", "width", "iterations",
-               "final_chain_size", "final_height", "avg_rank_width")
 
 
 @dataclass(frozen=True)
@@ -29,6 +27,9 @@ class IterationRecord:
     final_chain_size: int
     final_height: int
     avg_rank_width: Fraction
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(IterationRecord))
 
 
 def run_iteration_experiment(posets, ids=None) -> list[IterationRecord]:
@@ -68,28 +69,23 @@ class GroupMeans:
 
 
 def aggregate_by(records, key: str) -> dict[int, GroupMeans]:
-    """Group records by size or height; means stay exact rationals."""
+    """Group records by size or height; means stay exact rationals.
+
+    Records are read once, in order, into a count and sums per group, so
+    they may be a generator that is never held."""
     if key not in ("size", "height"):
         raise ValueError("key must be 'size' or 'height'")
-    records = list(records)
-    if not records:
-        raise EmptyInput("no records to aggregate")
-    groups: dict[int, list[IterationRecord]] = {}
+    means = [f.name for f in fields(GroupMeans)[2:]]  # after key and count
+    measure = attrgetter(*means)
+    zero = (0,) * (1 + len(means))
+    totals: dict[int, tuple] = {}  # group -> (count, *sums)
     for r in records:
-        groups.setdefault(getattr(r, key), []).append(r)
-    out = {}
-    for g in sorted(groups):
-        rs = groups[g]
-        c = len(rs)
-        out[g] = GroupMeans(
-            key=g,
-            count=c,
-            iterations=Fraction(sum(r.iterations for r in rs), c),
-            final_chain_size=Fraction(sum(r.final_chain_size for r in rs), c),
-            final_height=Fraction(sum(r.final_height for r in rs), c),
-            avg_rank_width=sum((r.avg_rank_width for r in rs), Fraction(0)) / c,
-        )
-    return out
+        g = getattr(r, key)
+        totals[g] = tuple(map(add, totals.get(g, zero), (1, *measure(r))))
+    if not totals:
+        raise EmptyInput("no records to aggregate")
+    return {g: GroupMeans(g, c, *(Fraction(s, c) for s in sums))
+            for g, (c, *sums) in sorted(totals.items())}
 
 
 @dataclass(frozen=True)
@@ -159,7 +155,7 @@ def write_records_csv(records, path) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(CSV_COLUMNS)
-    writer.writerows([r.poset_id, r.size, r.height, r.width, r.iterations,
-                      r.final_chain_size, r.final_height, str(float(r.avg_rank_width))]
-                     for r in records)
+    # An exact Fraction (avg_rank_width) is written as its float.
+    writer.writerows([float(v) if isinstance(v, Fraction) else v for v in row]
+                     for row in map(attrgetter(*CSV_COLUMNS), records))
     _write_atomic(path, buf.getvalue())

@@ -1,6 +1,10 @@
+from collections import Counter
+
 import pytest
 
-from intrank import Poset, enumerate_bounded_posets, enumerate_posets
+from intrank import (Poset, aggregate_by, enumerate_bounded_posets, enumerate_posets,
+                     run_iteration_experiment)
+from intrank.generate import _bounded_posets
 
 
 def chain(n: int) -> Poset:
@@ -72,6 +76,23 @@ def bounded_corpus():
     for size in range(3, 10):
         out.extend(enumerate_bounded_posets(size))
     return out
+
+
+@pytest.fixture(scope="session")
+def size10_run():
+    """One streamed pass over the 16,999 bounded posets of size 10: their
+    means by size, and how many posets take each number of iterations.
+
+    Each record goes to aggregate_by as it is made; no list holds them."""
+    iterations = Counter()
+
+    def records():
+        for p in _bounded_posets(10):
+            record = run_iteration_experiment([p], ["P"])[0]
+            iterations[record.iterations] += 1
+            yield record
+
+    return aggregate_by(records(), "size"), iterations
 
 
 @pytest.fixture(scope="session")

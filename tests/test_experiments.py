@@ -13,6 +13,7 @@ from intrank import (
     DomainError,
     EmptyInput,
     FitResult,
+    GroupMeans,
     IterationRecord,
     aggregate_by,
     enumerate_bounded_posets,
@@ -98,14 +99,41 @@ class TestAggregate:
         random.Random(7).shuffle(shuffled)
         assert aggregate_by(records, "size") == aggregate_by(shuffled, "size")
 
+    def test_one_shot_generator(self, bounded_corpus):
+        # A generator gives the list's table, each record read exactly once.
+        records = run_iteration_experiment(bounded_corpus[:80])
+        reads = []
+
+        def stream():
+            for r in records:
+                reads.append(r.poset_id)
+                yield r
+
+        assert aggregate_by(stream(), "height") == aggregate_by(records, "height")
+        assert reads == [r.poset_id for r in records]
+
+    def test_size10_row(self, size10_run):
+        # A result of this code, not a value from the paper: criterion 2
+        # pins the paper's sizes 3..9. Mean final chain size and final
+        # height are both 119488/16999 (about 7.0291).
+        assert size10_run[0] == {10: GroupMeans(
+            key=10, count=16999, iterations=Fraction(24277, 16999),
+            final_chain_size=Fraction(119488, 16999), final_height=Fraction(119488, 16999),
+            avg_rank_width=Fraction(25504, 84995))}
+
     def test_empty(self):
         with pytest.raises(EmptyInput):
             aggregate_by([], "size")
 
     def test_bad_key(self):
+        def unread():
+            raise AssertionError("a record was read")
+            yield
+
         records = run_iteration_experiment([chain(3)])
-        with pytest.raises(ValueError):
-            aggregate_by(records, "width")
+        for given in (records, unread()):
+            with pytest.raises(ValueError):
+                aggregate_by(given, "width")
 
 
 class TestFits:
@@ -170,6 +198,8 @@ class TestCsv:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == list(CSV_COLUMNS)
+        assert path.read_text(encoding="utf-8").splitlines()[0] == (
+            "poset_id,size,height,width,iterations,final_chain_size,final_height,avg_rank_width")
         assert len(rows) == 3
         for row, rec in zip(rows[1:], records):
             assert row[0] == rec.poset_id

@@ -1,4 +1,3 @@
-import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -30,7 +29,6 @@ from intrank import (
     standard_rank,
     total_preorder,
 )
-from intrank.generate import _bounded_posets
 
 
 def iv(lo, hi):
@@ -514,10 +512,11 @@ MOST_ITERATIONS = {3: (0, 1), 4: (1, 1), 5: (1, 4), 6: (2, 1), 7: (2, 9), 8: (3,
                    9: (3, 34), 10: (4, 10)}
 
 
-def test_most_iterations_by_size(bounded_corpus):
+def test_most_iterations_by_size(bounded_corpus, size10_run):
     counts = {n: Counter() for n in MOST_ITERATIONS}
-    for p in itertools.chain(bounded_corpus, _bounded_posets(10)):
+    for p in bounded_corpus:
         counts[p.n][iterate_to_chain(p).iterations_to_chain] += 1
+    counts[10] = size10_run[1]  # the pass that pins the size-10 means
     most = {n: max(c.items()) for n, c in counts.items()}
     assert most == MOST_ITERATIONS
     assert all(k == -(-(n - 3) // 2) for n, (k, _) in most.items())
