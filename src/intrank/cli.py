@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import os
 import re
 import sys
@@ -47,6 +46,14 @@ def _valid_name(name: str) -> bool:
     return name.split() == [name] and name != "<" and not name.startswith(("#", "elements:"))
 
 
+def _content_lines(text: str):
+    # (line number, stripped line) of each line neither blank nor a '#' comment.
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and line[0] != "#":
+            yield lineno, line
+
+
 def format_poset_document(p: Poset) -> str:
     """The cover relation as a document that parse_poset_document reads back.
 
@@ -65,10 +72,7 @@ def format_poset_document(p: Poset) -> str:
 def parse_poset_document(text: str) -> Poset:
     names: list[str] | None = None
     pairs: list[tuple[int, str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _content_lines(text):
         if line.startswith("elements:"):
             if names is not None:
                 raise InvalidDocument(f"line {lineno}: duplicate elements line")
@@ -100,10 +104,8 @@ def parse_poset_document(text: str) -> Poset:
 
 
 def parse_matrix_document(text: str) -> Poset:
-    rows_txt = [line.strip() for line in text.splitlines()
-                if line.strip() and not line.strip().startswith("#")]
     entries = []
-    for line in rows_txt:
+    for _, line in _content_lines(text):
         cells = line.split()
         if len(cells) == 1:
             cells = list(line)
@@ -122,7 +124,7 @@ def load_poset(path: str) -> Poset:
     whitespace, which no document accepts; a poset document otherwise."""
     with open(path, encoding="utf-8-sig") as fh:  # skips a byte-order mark
         text = fh.read()
-    first = next((s for s in map(str.strip, io.StringIO(text)) if s and s[0] != "#"), "")
+    first = next((line for _, line in _content_lines(text)), "")
     return (parse_matrix_document if re.fullmatch(r"[01\s]+", first) else parse_poset_document)(text)
 
 
@@ -161,29 +163,20 @@ def _cmd_gen(args) -> int:
 
 def _cmd_rank(args) -> int:
     p = load_poset(args.input)
-    if args.conjugate:
-        ra = conjugate_rank(p)
-        for a in range(p.n):
-            print(f"{p.labels[a]} {ra.ranks[a]}")
-    else:
-        ra = standard_rank(p)
-        for a in range(p.n):
-            # A standard rank is a point exactly on the spindle elements.
-            flag = "true" if ra.ranks[a].width() == 0 else "false"
-            print(f"{p.labels[a]} {ra.ranks[a]} spindle={flag}")
+    ranks = (conjugate_rank if args.conjugate else standard_rank)(p).ranks
+    for label, r in zip(p.labels, ranks):
+        # A standard rank is a point exactly on the spindle elements.
+        flag = "" if args.conjugate else " spindle=" + ("true" if r.width() == 0 else "false")
+        print(f"{label} {r}{flag}")
     return EXIT_OK
-
-
-def _levels_str(p: Poset, levels) -> str:
-    return "".join("[" + " ".join(p.labels[a] for a in level) + "]"
-                   for level in levels)
 
 
 def _cmd_iterate(args) -> int:
     p = load_poset(args.input)
     trace = iterate_to_chain(p)
     print(f"iterations: {trace.iterations_to_chain}")
-    print("levels: " + _levels_str(p, trace.preorder_levels))
+    print("levels: " + "".join("[" + " ".join(p.labels[a] for a in level) + "]"
+                               for level in trace.preorder_levels))
     if args.trace:
         for k, stage in enumerate(trace.stages, start=1):
             blocks = ", ".join(

@@ -14,7 +14,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
 
 from . import poset
 from .errors import CapExceeded, RangeError, TooSmall, UnboundedError
@@ -45,30 +44,28 @@ def _require_rankable(p: Poset) -> None:
         raise UnboundedError("rank operators need a bottom and a top element")
 
 
-def _ranks(up, down, relation: IntervalOrder = IntervalOrder.DUAL_WEAK) -> list[tuple[int, int]]:
-    # (lo, hi) of each element's standard rank, or conjugate rank under
-    # containment, from its up and down chain heights; max(up) is the height.
+def _ranks(up, down) -> list[tuple[int, int]]:
+    # (lo, hi) of each element's standard rank from its up and down chain
+    # heights; max(up) is the height.
     h = max(up)
-    if relation is IntervalOrder.SUBSET:
-        return [(u - 1, h + d - 2) for u, d in zip(up, down)]
     return [(u - 1, h - d) for u, d in zip(up, down)]
 
 
-def _endpoints(p: Poset, relation: IntervalOrder) -> list[tuple[int, int]]:
+def _endpoints(p: Poset) -> list[tuple[int, int]]:
     _require_rankable(p)
-    return _ranks(p.up_heights, p.down_heights, relation)
+    return _ranks(p.up_heights, p.down_heights)
 
 
 def standard_rank(p: Poset) -> RankAssignment:
     """Assign [up_heights[a]-1, height - down_heights[a]] to each element."""
-    ranks = tuple(IntInterval(lo, hi) for lo, hi in _endpoints(p, IntervalOrder.DUAL_WEAK))
+    ranks = tuple(IntInterval(lo, hi) for lo, hi in _endpoints(p))
     return RankAssignment(p, ranks, p.height() - 1)
 
 
 def conjugate_rank(p: Poset) -> RankAssignment:
-    """Assign [up_heights[a]-1, height + down_heights[a] - 2] to each element."""
-    ranks = tuple(IntInterval(lo, hi) for lo, hi in _endpoints(p, IntervalOrder.SUBSET))
-    return RankAssignment(p, ranks, 2 * (p.height() - 1))
+    """The standard rank reflected by phi: [up_heights[a]-1, height + down_heights[a] - 2]."""
+    h = p.height()
+    return RankAssignment(p, tuple(phi(x, h) for x in standard_rank(p).ranks), 2 * (h - 1))
 
 
 def classify_rank_function(f: RankAssignment) -> IntervalOrder | None:
@@ -145,23 +142,20 @@ class RankPoset:
         raise LookupError(f"element {element} not in any block")
 
 
-def _group(values, relation: IntervalOrder = IntervalOrder.DUAL_WEAK):
-    # The distinct (lo, hi) values listed bottom first in the relation,
-    # ascending in each endpoint times its direction (two stable sorts, hi
-    # then lo), and the elements holding each, in element order.
+def _group(values):
+    # The distinct (lo, hi) values listed descending, a linear extension of
+    # the dual-weak order that starts at its bottom, and the elements
+    # holding each, in element order.
     groups: dict = {}
     for a, value in enumerate(values):
         groups.setdefault(value, []).append(a)
-    d_lo, d_hi = _DIRECTIONS[relation]
-    distinct = sorted(groups, key=itemgetter(1), reverse=d_hi < 0)
-    distinct.sort(key=itemgetter(0), reverse=d_lo < 0)
+    distinct = sorted(groups, reverse=True)
     return tuple(distinct), tuple(tuple(groups[value]) for value in distinct)
 
 
-def _image(p: Poset, relation: IntervalOrder) -> RankPoset:
+def _checked(image: RankPoset) -> RankPoset:
     # The image order's rows are checked here, as the image is built; its
     # table is built only when `order` is first read.
-    image = RankPoset(*_group(_endpoints(p, relation), relation), relation)
     image._rows
     return image
 
@@ -173,17 +167,21 @@ def rank_image(p: Poset) -> RankPoset:
     descending by (lo, hi), a linear extension of the image order that
     starts at the image of the bottom element.
     """
-    return _image(p, IntervalOrder.DUAL_WEAK)
+    return _checked(RankPoset(*_group(_endpoints(p))))
 
 
 def conjugate_image(p: Poset) -> RankPoset:
     """Collapse elements sharing a conjugate rank; order images by containment.
 
-    x <= y iff x is a subset of y (y.lo <= x.lo and x.hi <= y.hi). The
-    interval list is sorted by (-lo, hi), a linear extension of the image
-    order that starts at the image of the bottom element.
+    x <= y iff x is a subset of y (y.lo <= x.lo and x.hi <= y.hi). This is
+    the standard image with its keys reflected by phi and its blocks kept.
+    An order isomorphism keeps a linear extension, so the interval list is
+    sorted by (-lo, hi) and starts at the image of the bottom element.
     """
-    return _image(p, IntervalOrder.SUBSET)
+    standard, blocks = _group(_endpoints(p))
+    h = p.height()
+    keys = tuple((x.lo, x.hi) for x in (phi(IntInterval(*key), h) for key in standard))
+    return _checked(RankPoset(keys, blocks, IntervalOrder.SUBSET))
 
 
 def rank_all(p: Poset) -> Poset:
@@ -193,7 +191,7 @@ def rank_all(p: Poset) -> Poset:
     standard rank of b in both endpoints-at-least senses (dual-weak).
     Labels are preserved; the result always extends the original order.
     """
-    keys = _endpoints(p, IntervalOrder.DUAL_WEAK)
+    keys = _endpoints(p)
     up = _endpoint_rows(keys, IntervalOrder.DUAL_WEAK)
     down = _endpoint_rows(keys, IntervalOrder.WEAK)
     # Equal ranks relate both ways, so up & down is exactly the equal ranks.
@@ -288,4 +286,4 @@ def total_preorder(p: Poset) -> tuple[tuple[int, ...], ...]:
 
 def average_rank_width(p: Poset) -> Fraction:
     """Mean standard-rank interval width, exact."""
-    return Fraction(sum(hi - lo for lo, hi in _endpoints(p, IntervalOrder.DUAL_WEAK)), p.n)
+    return Fraction(sum(hi - lo for lo, hi in _endpoints(p)), p.n)

@@ -64,6 +64,12 @@ IMAGE_ORDER = "'A rank image carries its interval order': Mutation checks"
 ORBIT_PRUNING = ("'Canonical forms by colour refinement': the FOUND: on the orbit-pruning "
                  "rule in Poset._canonical")
 RECORD_SCHEMA = "'The iteration record owns its schema': Mutation checks"
+CONJUGACY = "'The conjugate rank is φ of the standard rank': Mutation entries"
+CHECKED = "'No unchecked way into a Poset': Poset(rows) always runs check_partial_order"
+FORMAT = "'The CLI asks only for what it cannot work out'"
+PASSED_ROWS = ("'Orientation search on passed-down rows, covers from up-set rows': "
+               "Checks, the eight single-line mutations")
+FORMAT_INFERENCE = "tests/test_cli.py::TestFormatInference"
 
 MUTANTS = (
     Mutant(POSET, "m &= ~(up | low)", "m &= ~(up | low | low << 1)", NEAR_ORDERS,
@@ -89,12 +95,19 @@ MUTANTS = (
            "return [1 << e for e in range(self.n)]",
            ("tests/test_poset_gen.py", NODE_COUNTS),
            IMAGE_ORDER + " (_twins giving every element its own class)"),
-    Mutant(RANK, "distinct = sorted(groups, key=itemgetter(1), reverse=d_hi < 0)",
-           "distinct = sorted(groups, key=itemgetter(1), reverse=d_hi > 0)", KEY_KERNEL,
+    Mutant(RANK, "distinct = sorted(groups, reverse=True)", "distinct = sorted(groups)",
+           KEY_KERNEL, CONJUGACY + " (_group listing its keys ascending)"),
+    Mutant(RANK, "distinct = sorted(groups, reverse=True)",
+           "distinct = sorted(groups, key=lambda v: (v[0], -v[1]), reverse=True)", KEY_KERNEL,
            IMAGE_ORDER + " (reversing _group's sort on hi)"),
-    Mutant(RANK, "distinct.sort(key=itemgetter(0), reverse=d_lo < 0)",
-           "distinct.sort(key=itemgetter(0), reverse=d_lo > 0)", KEY_KERNEL,
+    Mutant(RANK, "distinct = sorted(groups, reverse=True)",
+           "distinct = sorted(groups, key=lambda v: (-v[0], v[1]), reverse=True)", KEY_KERNEL,
            IMAGE_ORDER + " (reversing _group's sort on lo)"),
+    Mutant(RANK, "top = 2 * (h - 1) - x.hi", "top = 2 * h - 1 - x.hi",
+           ("tests/test_rank_kernel.py::test_bounded_corpus",
+            "tests/test_interval_rank.py::TestConjugateRank",
+            "tests/test_cli.py::TestRank::test_conjugate"),
+           CONJUGACY + " (phi, which conjugate_rank and conjugate_image read, off by one)"),
     Mutant(RANK, "return his == sorted(his, reverse=_DIRECTIONS[self.relation][1] < 0)",
            "return his == sorted(his, reverse=True)", KEY_KERNEL,
            IMAGE_ORDER + " (is_chain sorting always descending)"),
@@ -110,10 +123,42 @@ MUTANTS = (
            "writer.writerows([v for v in row]",
            ("tests/test_experiments.py::TestCsv::test_schema_and_roundtrip",),
            RECORD_SCHEMA + " (the CSV writing the Fraction unconverted)"),
-    Mutant(CLI, 'flag = "true" if ra.ranks[a].width() == 0 else "false"',
-           'flag = "true" if ra.ranks[a].width() <= 1 else "false"',
+    Mutant(CLI, 'flag = "" if args.conjugate else " spindle=" + ("true" if r.width() == 0 else "false")',
+           'flag = "" if args.conjugate else " spindle=" + ("true" if r.width() <= 1 else "false")',
            ("tests/test_cli.py::TestRank",),
            RECORD_SCHEMA + " (intrank rank flagging ranks of width 1 as spindle)"),
+    Mutant(CLI, 'if line and line[0] != "#":', "if line:",
+           (FORMAT_INFERENCE + "::test_no_content_is_a_document",),
+           CONJUGACY + " (the content-line rule keeping '#' comments)"),
+    Mutant(CLI, 'return (parse_matrix_document if re.fullmatch(r"[01\\s]+", first) else parse_poset_document)(text)',
+           'return (parse_matrix_document if re.match(r"[01\\s]+", first) else parse_poset_document)(text)',
+           (FORMAT_INFERENCE + "::test_document_not_taken_for_matrix",),
+           FORMAT + ": Format from content (a line that only starts with 0/1 taken for a matrix row)"),
+    Mutant(CLI, 'if any(c not in ("0", "1") for c in cells):', "if False:",
+           (FORMAT_INFERENCE + "::test_matrix_row_then_relation",),
+           FORMAT + ": Format from content (the matrix reader rejecting every other line)"),
+    Mutant(CLI, 'with open(path, encoding="utf-8-sig") as fh:  # skips a byte-order mark',
+           'with open(path, encoding="utf-8") as fh:',
+           (FORMAT_INFERENCE + "::test_byte_order_mark_skipped",),
+           FORMAT + ": Satellites (load_poset skipping a leading byte-order mark)"),
+    Mutant(CLI, 'if any(f.endswith(".poset") for f in os.listdir(args.out)):  # stats would mix them in',
+           "if False:", ("tests/test_cli.py::TestGen::test_out_holding_posets_refused",),
+           FORMAT + ": Satellites (gen refusing an --out that holds .poset files)"),
+    Mutant(POSET, "if not _checked:", "if False:",
+           ("tests/test_poset_core.py::TestFromRelation::test_direct_construction_validates",),
+           CHECKED),
+    Mutant(POSET, 'raise ValueError(f"no element labelled {label!r}") from None', "raise",
+           ("tests/test_poset_core.py::TestFromRelation::test_labels_checked",),
+           "'No unchecked way into a Poset': Bugfix (Poset.index naming a missing label)"),
+    Mutant(POSET, "if low & done:", "if low & (done | open_):",
+           ("tests/test_poset_core.py::TestValidationProperties::test_from_relation_against_closure_oracle",
+            "tests/test_poset_core.py::TestFromRelation::test_two_cycle_rejected"),
+           "'One path per job: the closure rejects cycles itself' and 'Criterion-7 layers cut': "
+           "treating an open generator as finished fails the closure property test"),
+    Mutant(POSET, "return tuple(s & ~reduce(or_, (strict[k] for k in _bits(s)), 0) for s in strict)",
+           "return tuple(s & ~reduce(or_, (self.rows[k] for k in _bits(s)), 0) for s in strict)",
+           ("tests/test_poset_core.py::TestCovers",),
+           PASSED_ROWS + " (the covers built from rows instead of strict_rows)"),
 )
 
 # Runs pytest, then names the file each mutated module was loaded from.

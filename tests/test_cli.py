@@ -364,6 +364,12 @@ class TestRank:
         path = write(tmp_path / "bad.poset", "elements: a b\na <= b\n")
         assert cli.main(["rank", path]) == 2
         assert "error" in capsys.readouterr().err
+        # str.splitlines ends a line at the file separator \x1c, for the
+        # format sniffer as for the readers: the comment ends there, and the
+        # elements line makes this a document, not a matrix.
+        path = write(tmp_path / "sep.poset", "# c\x1celements: a b\n10\n")
+        assert cli.main(["rank", path]) == 2
+        assert capsys.readouterr().err == "error: line 3: expected 'NAME < NAME'\n"
 
 
 class TestIterate:

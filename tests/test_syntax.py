@@ -1,11 +1,14 @@
-"""The package parses as Python 3.10, the oldest version pyproject.toml allows."""
+"""The package and the opt-in scripts beside the tests parse as Python 3.10,
+the oldest version pyproject.toml allows."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "intrank").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "intrank").glob("*.py")) + [
+    ROOT / "tests" / "mutants.py", ROOT / "tests" / "iteration_bounds.py"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
