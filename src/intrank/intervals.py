@@ -8,7 +8,7 @@ from itertools import accumulate
 from operator import or_
 
 from .errors import BudgetExceeded, GroundMismatch
-from .poset import Poset, _bits, _close, _pair_rows
+from .poset import Poset, _close, _pair_rows
 
 # find_conjugates_of_strong's ground budget: endpoint span 3 has 10 intervals, 4 has 15.
 CONJ_MAX_GROUND = 12
@@ -192,11 +192,13 @@ def find_conjugates_of_strong(lo_min: int, hi_max: int, limit: int | None = None
 
     A conjugate must make exactly the strong-incomparable pairs comparable,
     so the search enumerates transitive orientations of the complement of
-    the strong comparability graph: orient one undirected pair at a time,
-    propagating forced orientations (a<b and b<c force a<c; if a and c are
-    not an orientable pair the branch dies). Results arrive in a fixed
-    deterministic order; `limit` (ValueError if negative) stops the search
-    early, and grounds larger than `max_ground` raise BudgetExceeded.
+    the strong comparability graph, the overlap graph. It holds the decided
+    pairs as an m x m bit matrix in one int and orients one overlapping
+    pair a < b at a time; one multiply adds its closure, every pair from
+    a's down-set to b's up-set, and one AND with the non-overlapping pairs
+    kills the branch. Results arrive in a fixed deterministic order;
+    `limit` (ValueError if negative) stops the search early, and grounds
+    larger than `max_ground` raise BudgetExceeded.
     """
     if limit is not None and limit < 0:
         raise ValueError("limit must be nonnegative")
@@ -211,46 +213,43 @@ def find_conjugates_of_strong(lo_min: int, hi_max: int, limit: int | None = None
 def _orientations(ground: tuple[IntInterval, ...],
                   limit: int | None) -> list[OrderRelationTable]:
     # Transitive orientations of the overlap graph of `ground`, by
-    # backtracking over bitset rows. Pairs (a, b), a < b, are decided in
-    # lexicographic order, trying a < b before b < a.
+    # backtracking over two m x m bit matrices held as ints, row x in bits
+    # x*m .. x*m+m-1: bit y of row x of `above` is set once x < y is
+    # decided, and `below` is its transpose. Pairs (a, b), a < b, are
+    # decided in lexicographic order, which is bit order, trying a < b
+    # before b < a.
     m = len(ground)
     keys = _ground_keys(ground)
     le_lo, _, _, ge_hi = _endpoint_masks(keys)
     overlap = [le_lo[hi] & ge_hi[lo] & ~(1 << i) for i, (lo, hi) in enumerate(keys)]
+    row, col = (1 << m) - 1, sum(1 << x * m for x in range(m))
+    apart = sum((row & ~r) << x * m for x, r in enumerate(overlap))
+    later = sum((r & -2 << x) << x * m for x, r in enumerate(overlap))
     solutions: list[OrderRelationTable] = []
 
-    def orient(above: list[int], a: int, b: int) -> list[int] | None:
-        # The rows with a < b decided for an undecided pair (bit y of
-        # above[x]: x < y has been decided). The relation is transitive, so
-        # the closure of the new pair is the product of the down-set of a and
-        # the up-set of b. None if a new pair does not overlap; bits enter a
-        # row only after this test, so above[c] stays inside overlap[c].
-        up = above[b] | 1 << b
-        out = above.copy()
-        for c in range(m):
-            if c == a or above[c] >> a & 1:
-                if up & ~overlap[c]:
-                    return None
-                out[c] |= up
-        return out
-
-    def dfs(above: list[int], start: int) -> None:
+    def dfs(above: int, below: int) -> None:
         if limit is not None and len(solutions) >= limit:
             return
-        pair = next(((a, b) for a in range(start, m)
-                     for b in _bits(overlap[a] & ~above[a] & -2 << a)
-                     if not above[b] >> a & 1), None)
-        if pair is None:
+        open_ = later & ~(above | below)
+        if not open_:
             solutions.append(OrderRelationTable(
-                ground, [above[x] | 1 << x for x in range(m)]))
+                ground, [above >> x * m & row | 1 << x for x in range(m)]))
             return
-        a, b = pair
+        a, b = divmod((open_ & -open_).bit_length() - 1, m)
         for u, v in ((a, b), (b, a)):
-            child = orient(above, u, v)
-            if child is not None:
-                dfs(child, a)
+            # Deciding u < v adds the product of u's down-set and v's
+            # up-set, the whole transitive closure of the new pair: v's
+            # up-set, an m-bit row, times u's down-set as a column (one bit
+            # per row) lands in each row of that down-set without carries,
+            # and `below` gains the transpose. The branch dies if a new pair
+            # does not overlap (`apart` holds the diagonal too, so a cycle
+            # dies); bits enter only after this test.
+            new = (above >> v * m & row | 1 << v) * (above >> u & col | 1 << u * m)
+            if not new & apart:
+                down = below >> u * m & row | 1 << u
+                dfs(above | new, below | down * (below >> v & col | 1 << v * m))
 
-    dfs([0] * m, 0)
+    dfs(0, 0)
     return solutions
 
 

@@ -109,6 +109,10 @@ class RankPoset:
     blocks: tuple[tuple[int, ...], ...]
     relation: IntervalOrder = IntervalOrder.DUAL_WEAK
 
+    def __post_init__(self):
+        if len(self.keys) != len(self.blocks):
+            raise ValueError(f"{len(self.keys)} keys but {len(self.blocks)} blocks")
+
     @cached_property
     def intervals(self) -> tuple[IntInterval, ...]:
         return tuple(IntInterval(lo, hi) for lo, hi in self.keys)

@@ -3,9 +3,10 @@
     python3 tests/mutants.py
 
 Each entry names a file under src/, one exact source line in it (matched
-with its indentation stripped, and only if it occurs exactly once), the
-line that replaces it (given the same indentation), the test node ids that
-should fail on the mutant, and the claim in CHANGES.md it replays. For each
+with its indentation stripped), how many times that line occurs in the file
+(once unless declared) and which occurrence it mutates, the line that
+replaces it (given the same indentation), the test node ids that should
+fail on the mutant, and the claim in CHANGES.md it replays. For each
 entry the script copies src/, tests/, bench/, README.md and pyproject.toml
 to a fresh temporary directory, applies the one change there and runs the
 named tests against the copy. pyproject.toml puts the copy's src/ first
@@ -14,12 +15,13 @@ script checks that the mutated module was loaded from the copy. This
 checkout is never edited.
 
 Each entry is reported as killed (a named test failed, or the run passed
-its time limit), survived (all passed) or stale (the line is gone from its
-file, or occurs more than once, or a named test no longer exists). The exit
-status is nonzero if an entry is stale, if an entry survives that is not
-listed as a known survivor, if a known survivor is killed (its listing is
-then out of date), or if the named tests fail on the unmutated copy. Uses the standard library only; the name
-keeps pytest from collecting it.
+its time limit), survived (all passed) or stale (the line does not occur
+in its file as many times as the entry declares, or a named test no longer
+exists). The exit status is nonzero if an entry is stale, if an entry
+survives that is not listed as a known survivor, if a known survivor is
+killed (its listing is then out of date), or if the named tests fail on
+the unmutated copy. Uses the standard library only; the name keeps pytest
+from collecting it.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ class Mutant:
     tests: tuple[str, ...]  # pytest node ids that should fail
     source: str  # the CHANGES.md entry and claim this replays
     survivor: bool = False  # a known survivor: no test is expected to fail
+    occurs: int = 1  # how many times the line occurs in its file
+    occurrence: int = 0  # which of those it mutates, counted from 0 in file order
 
 
 POSET = "src/intrank/poset.py"
@@ -70,6 +74,10 @@ FORMAT = "'The CLI asks only for what it cannot work out'"
 PASSED_ROWS = ("'Orientation search on passed-down rows, covers from up-set rows': "
                "Checks, the eight single-line mutations")
 FORMAT_INFERENCE = "tests/test_cli.py::TestFormatInference"
+INTERVALS = "src/intrank/intervals.py"
+MATRIX = "'Orientation search on two bit-matrix ints': Mutation entries"
+SEARCH = "tests/test_interval_orders.py::TestConjugateSearch"
+WIDTH = "tests/test_poset_core.py::TestHeightWidth"
 
 MUTANTS = (
     Mutant(POSET, "m &= ~(up | low)", "m &= ~(up | low | low << 1)", NEAR_ORDERS,
@@ -159,6 +167,26 @@ MUTANTS = (
            "return tuple(s & ~reduce(or_, (self.rows[k] for k in _bits(s)), 0) for s in strict)",
            ("tests/test_poset_core.py::TestCovers",),
            PASSED_ROWS + " (the covers built from rows instead of strict_rows)"),
+    Mutant(POSET, "hit = row & free", "hit = 0",
+           (WIDTH + "::test_width_against_oracle_on_random_posets",
+            WIDTH + "::test_width_of_deep_staircase"),
+           "'Criterion-7 layers cut': Mutation checks (matching only at the root fails "
+           "both width-oracle tests and the deep staircase)", occurs=2, occurrence=1),
+    Mutant(INTERVALS, "if not new & apart:", "if True:",
+           (SEARCH + "::test_matches_backtracking_oracle_on_subfamilies",
+            SEARCH + "::test_matches_exhaustive_orientation_oracle"),
+           MATRIX + " (the apart refutation disabled)"),
+    Mutant(INTERVALS, "dfs(above | new, below | down * (below >> v & col | 1 << v * m))",
+           "dfs(above | (1 << v) * (above >> u & col | 1 << u * m), below | down * (1 << v * m))",
+           (SEARCH + "::test_search_node_counts",),
+           MATRIX + " (the closure adding 1 << b, not b's up-set: 50 / 440 / 3,418 nodes)"),
+    Mutant(INTERVALS, "new = (above >> v * m & row | 1 << v) * (above >> u & col | 1 << u * m)",
+           "new = (1 << v) * (above >> u & col | 1 << u * m)",
+           (SEARCH + "::test_search_node_counts",),
+           MATRIX + " (b's up-set replaced by 1 << b in the tested product too)"),
+    Mutant(INTERVALS, "dfs(above | new, below | down * (below >> v & col | 1 << v * m))",
+           "dfs(above | new, below)", (SEARCH + "::test_search_node_counts",),
+           MATRIX + " (the below update dropped)"),
 )
 
 # Runs pytest, then names the file each mutated module was loaded from.
@@ -195,9 +223,9 @@ def _apply(dest: str, m: Mutant) -> str | None:
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().split("\n")
     hits = [i for i, text in enumerate(lines) if text.strip() == m.line]
-    if len(hits) != 1:
-        return f"line found {len(hits)} times in {m.file}"
-    i = hits[0]
+    if len(hits) != m.occurs:
+        return f"line found {len(hits)} times in {m.file}, not {m.occurs}"
+    i = hits[m.occurrence]
     lines[i] = lines[i][:len(lines[i]) - len(lines[i].lstrip())] + m.replacement
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))

@@ -388,7 +388,7 @@ class TestConjugateSearch:
                 solutions += len(got)
         assert solutions > 1000
 
-    @pytest.mark.parametrize("hi,nodes", [(2, 47), (3, 385), (4, 2819)])
+    @pytest.mark.parametrize("hi,nodes", [(2, 47), (3, 385), (4, 2819), (5, 20461)])
     def test_search_node_counts(self, hi, nodes):
         # Deciding a < b adds b and its whole up-set to the rows of a and of
         # each element below a. A closure that adds only b still finds every

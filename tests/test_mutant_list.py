@@ -2,10 +2,11 @@
 
 The list is loaded read-only from its file, as `tests/test_bench_targets.py`
 loads the bench modules, and no mutant is run. Each entry's line must occur
-exactly once in its file, matched with indentation stripped as the script
-matches it, and each test it names must be in a file that exists. So an
-edit that leaves an entry stale fails here, not only when the opt-in script
-runs.
+in its file exactly as many times as the entry declares (once unless it
+says otherwise), matched with indentation stripped as the script matches
+it, the occurrence it mutates must be one of them, and each test it names
+must be in a file that exists. So an edit that leaves an entry stale fails
+here, not only when the opt-in script runs.
 """
 
 import importlib.util
@@ -23,9 +24,10 @@ def load_mutants():
     return module.MUTANTS
 
 
-def test_every_line_occurs_once():
+def test_every_line_occurs_as_declared():
     stale = [(m.file, m.line) for m in load_mutants()
-             if [text.strip() for text in (ROOT / m.file).read_text().split("\n")].count(m.line) != 1]
+             if [text.strip() for text in (ROOT / m.file).read_text().split("\n")].count(m.line) != m.occurs
+             or not 0 <= m.occurrence < m.occurs]
     assert stale == []
 
 

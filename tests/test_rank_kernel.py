@@ -98,3 +98,9 @@ def test_key_kernel_matches_induced_poset(keys):
     contained = sorted(keys, key=lambda k: (-k[0], k[1]))
     assert RankPoset(contained, blocks, IntervalOrder.SUBSET).is_chain() == \
         brute_is_chain(Poset(_endpoint_rows(contained, IntervalOrder.SUBSET)))
+
+
+def test_keys_and_blocks_pair_up():
+    # len() counts blocks while is_chain, intervals and the rows read keys.
+    with pytest.raises(ValueError, match="2 keys but 0 blocks"):
+        RankPoset(((1, 1), (0, 0)), ())
