@@ -196,7 +196,10 @@ def find_conjugates_of_strong(lo_min: int, hi_max: int, limit: int | None = None
     pairs as an m x m bit matrix in one int and orients one overlapping
     pair a < b at a time; one multiply adds its closure, every pair from
     a's down-set to b's up-set, and one AND with the non-overlapping pairs
-    kills the branch. Results arrive in a fixed deterministic order;
+    kills the branch. The reverse of a solution is a solution, so the
+    search visits only the half of the tree where the first pair is a < b
+    and lists the reversed solutions, in reverse, as the other half.
+    Results arrive in a fixed deterministic order;
     `limit` (ValueError if negative) stops the search early, and grounds
     larger than `max_ground` raise BudgetExceeded.
     """
@@ -217,7 +220,8 @@ def _orientations(ground: tuple[IntInterval, ...],
     # x*m .. x*m+m-1: bit y of row x of `above` is set once x < y is
     # decided, and `below` is its transpose. Pairs (a, b), a < b, are
     # decided in lexicographic order, which is bit order, trying a < b
-    # before b < a.
+    # before b < a, so solutions arrive in lexicographic order of their
+    # pair vectors.
     m = len(ground)
     keys = _ground_keys(ground)
     le_lo, _, _, ge_hi = _endpoint_masks(keys)
@@ -226,6 +230,7 @@ def _orientations(ground: tuple[IntInterval, ...],
     apart = sum((row & ~r) << x * m for x, r in enumerate(overlap))
     later = sum((r & -2 << x) << x * m for x, r in enumerate(overlap))
     solutions: list[OrderRelationTable] = []
+    mirrors: list[list[int]] = []
 
     def dfs(above: int, below: int) -> None:
         if limit is not None and len(solutions) >= limit:
@@ -234,6 +239,7 @@ def _orientations(ground: tuple[IntInterval, ...],
         if not open_:
             solutions.append(OrderRelationTable(
                 ground, [above >> x * m & row | 1 << x for x in range(m)]))
+            mirrors.append([below >> x * m & row | 1 << x for x in range(m)])
             return
         a, b = divmod((open_ & -open_).bit_length() - 1, m)
         for u, v in ((a, b), (b, a)):
@@ -249,8 +255,17 @@ def _orientations(ground: tuple[IntInterval, ...],
                 down = below >> u * m & row | 1 << u
                 dfs(above | new, below | down * (below >> v & col | 1 << v * m))
 
-    dfs(0, 0)
-    return solutions
+    if not later:
+        dfs(0, 0)
+        return solutions
+    # The reverse of a transitive orientation is one too, so only the first
+    # pair's a < b subtree is searched. Reversing complements a solution's
+    # pair vector, which reverses their order: the b < a half is the
+    # mirrors, each leaf's `below` rows, in reverse.
+    a, b = divmod((later & -later).bit_length() - 1, m)
+    dfs(1 << a * m + b, 1 << b * m + a)
+    room = None if limit is None else limit - len(solutions)
+    return solutions + [OrderRelationTable(ground, r) for r in mirrors[::-1][:room]]
 
 
 def group_conjugates_by_isomorphism(tables) -> list[list[OrderRelationTable]]:

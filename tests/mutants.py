@@ -77,6 +77,7 @@ FORMAT_INFERENCE = "tests/test_cli.py::TestFormatInference"
 INTERVALS = "src/intrank/intervals.py"
 MATRIX = "'Orientation search on two bit-matrix ints': Mutation entries"
 SEARCH = "tests/test_interval_orders.py::TestConjugateSearch"
+MIRROR = "'Orientation search on half the tree': Mutation entries"
 WIDTH = "tests/test_poset_core.py::TestHeightWidth"
 
 MUTANTS = (
@@ -179,7 +180,8 @@ MUTANTS = (
     Mutant(INTERVALS, "dfs(above | new, below | down * (below >> v & col | 1 << v * m))",
            "dfs(above | (1 << v) * (above >> u & col | 1 << u * m), below | down * (1 << v * m))",
            (SEARCH + "::test_search_node_counts",),
-           MATRIX + " (the closure adding 1 << b, not b's up-set: 50 / 440 / 3,418 nodes)"),
+           MATRIX + " (the closure adding 1 << b, not b's up-set: 50 / 440 / 3,418 nodes on "
+           "the whole tree, 26 / 227 / 1,714 on the a < b half)"),
     Mutant(INTERVALS, "new = (above >> v * m & row | 1 << v) * (above >> u & col | 1 << u * m)",
            "new = (1 << v) * (above >> u & col | 1 << u * m)",
            (SEARCH + "::test_search_node_counts",),
@@ -187,6 +189,15 @@ MUTANTS = (
     Mutant(INTERVALS, "dfs(above | new, below | down * (below >> v & col | 1 << v * m))",
            "dfs(above | new, below)", (SEARCH + "::test_search_node_counts",),
            MATRIX + " (the below update dropped)"),
+    Mutant(INTERVALS,
+           "return solutions + [OrderRelationTable(ground, r) for r in mirrors[::-1][:room]]",
+           "return solutions + [OrderRelationTable(ground, r) for r in mirrors[:room]]",
+           (SEARCH + "::test_second_half_mirrors_first",), MIRROR + " (the mirrors not reversed)"),
+    Mutant(INTERVALS, "room = None if limit is None else limit - len(solutions)", "room = None",
+           (SEARCH + "::test_limits_across_the_mirror",), MIRROR + " (room ignoring limit)"),
+    Mutant(INTERVALS, "dfs(1 << a * m + b, 1 << b * m + a)", "dfs(1 << b * m + a, 1 << a * m + b)",
+           (SEARCH + "::test_matches_backtracking_oracle_on_subfamilies",),
+           MIRROR + " (the first pair seeded as b < a)"),
 )
 
 # Runs pytest, then names the file each mutated module was loaded from.

@@ -320,6 +320,13 @@ class TestConjugacy:
             are_pseudo_conjugate(t1, t2)
 
 
+def subfamilies():
+    """300 seeded subfamilies of up to 8 intervals of 0..6, in random order."""
+    rng = random.Random(0)
+    pool = all_intervals(0, 6)
+    return [tuple(rng.sample(pool, rng.randint(1, 8))) for _ in range(300)]
+
+
 class TestConjugateSearch:
     def test_endpoints_1_2(self):
         sols = find_conjugates_of_strong(1, 2)
@@ -372,14 +379,11 @@ class TestConjugateSearch:
                         == oracles.backtrack_orientations(ground, limit))
 
     def test_matches_backtracking_oracle_on_subfamilies(self):
-        # Subfamilies of up to 8 intervals, in random order: full grounds of
-        # span 3 and more have no solutions, so only subfamilies exercise
-        # enumeration. k pairwise-overlapping intervals have k! orientations.
-        rng = random.Random(0)
-        pool = all_intervals(0, 6)
+        # Full grounds of span 3 and more have no solutions, so only
+        # subfamilies exercise enumeration. k pairwise-overlapping intervals
+        # have k! orientations.
         solutions = 0
-        for _ in range(300):
-            ground = tuple(rng.sample(pool, rng.randint(1, 8)))
+        for ground in subfamilies():
             for limit in (None, 2):
                 got = _orientations(ground, limit)
                 assert ([t.rows for t in got]
@@ -388,12 +392,30 @@ class TestConjugateSearch:
                 solutions += len(got)
         assert solutions > 1000
 
-    @pytest.mark.parametrize("hi,nodes", [(2, 47), (3, 385), (4, 2819), (5, 20461)])
+    def test_second_half_mirrors_first(self):
+        # The search visits only the first pair's a < b half and lists the
+        # reverse of each of its solutions, in reverse, as the b < a half:
+        # sols[-1 - i] is the transpose of sols[i].
+        grounds = [tuple(all_intervals(lo, lo + span)) for span in range(3) for lo in (0, 1)]
+        for ground in grounds + subfamilies():
+            sols = _orientations(ground, None)
+            assert [tuple(t.rows) for t in reversed(sols)] == [t.down_rows for t in sols]
+
+    def test_limits_across_the_mirror(self):
+        ground = next(g for g in subfamilies() if len(_orientations(g, None)) >= 8)
+        full = len(oracles.backtrack_orientations(ground))
+        half = full // 2
+        for limit in (half - 1, half, half + 1, full):
+            got = _orientations(ground, limit)
+            assert [t.rows for t in got] == oracles.backtrack_orientations(ground, limit)
+
+    @pytest.mark.parametrize("hi,nodes", [(2, 23), (3, 192), (4, 1409), (5, 10230)])
     def test_search_node_counts(self, hi, nodes):
-        # Deciding a < b adds b and its whole up-set to the rows of a and of
-        # each element below a. A closure that adds only b still finds every
-        # solution, by branching on pairs it should have forced: it takes
-        # 50, 440 and 3,418 nodes.
+        # The search seeds the first pair as a < b and visits that half of
+        # the tree alone. Deciding a < b adds b and its whole up-set to the
+        # rows of a and of each element below a. A closure that adds only b
+        # still finds every solution, by branching on pairs it should have
+        # forced: it takes 26, 227 and 1,714 nodes.
         dfs = next(c for c in _orientations.__code__.co_consts
                    if isinstance(c, types.CodeType) and c.co_name == "dfs")
         calls = 0
