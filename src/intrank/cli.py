@@ -17,7 +17,7 @@ import os
 import re
 import sys
 
-from .errors import BudgetExceeded, IntrankError, InvalidDocument
+from .errors import BudgetExceeded, CycleError, IntrankError, InvalidDocument
 from .experiments import _write_atomic, aggregate_by, linear_fit, log_fit, run_iteration_experiment, write_records_csv
 from .generate import MODELS, _bounded_posets, _corpus, _posets
 from .intervals import CONJ_MAX_GROUND, OrderRelationTable, all_intervals, are_conjugate, find_conjugates_of_strong, group_conjugates_by_isomorphism
@@ -100,7 +100,12 @@ def parse_poset_document(text: str) -> Poset:
             unknown = a if a not in index else b
             raise InvalidDocument(f"line {lineno}: unknown element {unknown!r}")
         gens.append((index[a], index[b]))
-    return Poset.from_relation(len(names), gens, names)
+    try:
+        return Poset.from_relation(len(names), gens, names)
+    except CycleError as exc:
+        i, j = exc.pair
+        raise InvalidDocument(f"the '<' lines form a cycle: {names[i]!r} and {names[j]!r} "
+                              "are each below the other") from None
 
 
 def parse_matrix_document(text: str) -> Poset:

@@ -6,7 +6,12 @@ class IntrankError(Exception):
 
 
 class CycleError(IntrankError):
-    """The relation closure forces two distinct elements below each other."""
+    """The relation closure forces two distinct elements below each other;
+    `pair` holds the indices of the two that the message names."""
+
+    def __init__(self, message: str, pair: tuple[int, int] | None = None):
+        super().__init__(message)
+        self.pair = pair
 
 
 class NotComparable(IntrankError):

@@ -227,6 +227,12 @@ def _orientations(ground: tuple[IntInterval, ...],
     le_lo, _, _, ge_hi = _endpoint_masks(keys)
     overlap = [le_lo[hi] & ge_hi[lo] & ~(1 << i) for i, (lo, hi) in enumerate(keys)]
     row, col = (1 << m) - 1, sum(1 << x * m for x in range(m))
+    # Fixed for the whole search: each element's row offset, row bit and
+    # column bit, and for matrix bit x*m + y the pair it stands for, as the
+    # two branches x < y and y < x in the order they are tried.
+    shift = [x * m for x in range(m)]
+    bit, cbit = [1 << x for x in range(m)], [1 << s for s in shift]
+    branches = [((x, y), (y, x)) for x in range(m) for y in range(m)]
     apart = sum((row & ~r) << x * m for x, r in enumerate(overlap))
     later = sum((r & -2 << x) << x * m for x, r in enumerate(overlap))
     solutions: list[OrderRelationTable] = []
@@ -238,11 +244,10 @@ def _orientations(ground: tuple[IntInterval, ...],
         open_ = later & ~(above | below)
         if not open_:
             solutions.append(OrderRelationTable(
-                ground, [above >> x * m & row | 1 << x for x in range(m)]))
-            mirrors.append([below >> x * m & row | 1 << x for x in range(m)])
+                ground, [above >> s & row | t for s, t in zip(shift, bit)]))
+            mirrors.append([below >> s & row | t for s, t in zip(shift, bit)])
             return
-        a, b = divmod((open_ & -open_).bit_length() - 1, m)
-        for u, v in ((a, b), (b, a)):
+        for u, v in branches[(open_ & -open_).bit_length() - 1]:
             # Deciding u < v adds the product of u's down-set and v's
             # up-set, the whole transitive closure of the new pair: v's
             # up-set, an m-bit row, times u's down-set as a column (one bit
@@ -250,20 +255,24 @@ def _orientations(ground: tuple[IntInterval, ...],
             # and `below` gains the transpose. The branch dies if a new pair
             # does not overlap (`apart` holds the diagonal too, so a cycle
             # dies); bits enter only after this test.
-            new = (above >> v * m & row | 1 << v) * (above >> u & col | 1 << u * m)
+            new = (above >> shift[v] & row | bit[v]) * (above >> u & col | cbit[u])
             if not new & apart:
-                down = below >> u * m & row | 1 << u
-                dfs(above | new, below | down * (below >> v & col | 1 << v * m))
+                down = below >> shift[u] & row | bit[u]
+                dfs(above | new, below | down * (below >> v & col | cbit[v]))
 
-    if not later:
+    if later:
+        # The reverse of a transitive orientation is one too, so only the
+        # first pair's a < b subtree is searched. Reversing complements a
+        # solution's pair vector, which reverses their order: the b < a half
+        # is the mirrors, each leaf's `below` rows, in reverse.
+        (a, b), _ = branches[(later & -later).bit_length() - 1]
+        dfs(cbit[a] << b, cbit[b] << a)
+    else:
         dfs(0, 0)
-        return solutions
-    # The reverse of a transitive orientation is one too, so only the first
-    # pair's a < b subtree is searched. Reversing complements a solution's
-    # pair vector, which reverses their order: the b < a half is the
-    # mirrors, each leaf's `below` rows, in reverse.
-    a, b = divmod((later & -later).bit_length() - 1, m)
-    dfs(1 << a * m + b, 1 << b * m + a)
+        mirrors = []  # the one solution, with no pair, is its own reverse
+    # dfs refers to itself; dropping it frees the tables now, not at the
+    # next full garbage collection.
+    del dfs
     room = None if limit is None else limit - len(solutions)
     return solutions + [OrderRelationTable(ground, r) for r in mirrors[::-1][:room]]
 

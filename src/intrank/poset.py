@@ -176,7 +176,7 @@ def _diagnose(rows, n: int) -> None:
             j = low.bit_length() - 1
             up = rows[j]
             if up & bit:
-                raise CycleError(f"elements {i} and {j} are mutually related")
+                raise CycleError(f"elements {i} and {j} are mutually related", (i, j))
             if up & outside:
                 raise ValueError(f"relation is not transitive at ({i}, {j})")
 

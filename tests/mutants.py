@@ -79,6 +79,9 @@ MATRIX = "'Orientation search on two bit-matrix ints': Mutation entries"
 SEARCH = "tests/test_interval_orders.py::TestConjugateSearch"
 MIRROR = "'Orientation search on half the tree': Mutation entries"
 WIDTH = "tests/test_poset_core.py::TestHeightWidth"
+ROWS = "'Conjugacy layer on bitset rows': Mutation check"
+TABLES = "'Orientation search on per-search tables': Mutation entries"
+PREDICATES = "tests/test_interval_orders.py::TestConjugacy::test_predicates_match_oracles"
 
 MUTANTS = (
     Mutant(POSET, "m &= ~(up | low)", "m &= ~(up | low | low << 1)", NEAR_ORDERS,
@@ -177,27 +180,65 @@ MUTANTS = (
            (SEARCH + "::test_matches_backtracking_oracle_on_subfamilies",
             SEARCH + "::test_matches_exhaustive_orientation_oracle"),
            MATRIX + " (the apart refutation disabled)"),
-    Mutant(INTERVALS, "dfs(above | new, below | down * (below >> v & col | 1 << v * m))",
-           "dfs(above | (1 << v) * (above >> u & col | 1 << u * m), below | down * (1 << v * m))",
+    Mutant(INTERVALS, "dfs(above | new, below | down * (below >> v & col | cbit[v]))",
+           "dfs(above | bit[v] * (above >> u & col | cbit[u]), below | down * cbit[v])",
            (SEARCH + "::test_search_node_counts",),
            MATRIX + " (the closure adding 1 << b, not b's up-set: 50 / 440 / 3,418 nodes on "
            "the whole tree, 26 / 227 / 1,714 on the a < b half)"),
-    Mutant(INTERVALS, "new = (above >> v * m & row | 1 << v) * (above >> u & col | 1 << u * m)",
-           "new = (1 << v) * (above >> u & col | 1 << u * m)",
+    Mutant(INTERVALS, "new = (above >> shift[v] & row | bit[v]) * (above >> u & col | cbit[u])",
+           "new = bit[v] * (above >> u & col | cbit[u])",
            (SEARCH + "::test_search_node_counts",),
            MATRIX + " (b's up-set replaced by 1 << b in the tested product too)"),
-    Mutant(INTERVALS, "dfs(above | new, below | down * (below >> v & col | 1 << v * m))",
+    Mutant(INTERVALS, "dfs(above | new, below | down * (below >> v & col | cbit[v]))",
            "dfs(above | new, below)", (SEARCH + "::test_search_node_counts",),
            MATRIX + " (the below update dropped)"),
+    Mutant(INTERVALS, "open_ = later & ~(above | below)", "open_ = later & ~above",
+           (SEARCH + "::test_search_node_counts",),
+           ROWS + " (the undecided test reading only the pairs decided as a < b)"),
+    Mutant(INTERVALS, "branches = [((x, y), (y, x)) for x in range(m) for y in range(m)]",
+           "branches = [((y, x), (x, y)) for x in range(m) for y in range(m)]",
+           (SEARCH + "::test_matches_backtracking_oracle_on_full_grounds",),
+           TABLES + " (the pair table transposed)"),
+    Mutant(INTERVALS, "dfs(above | new, below | down * (below >> v & col | cbit[v]))",
+           "dfs(above | new, below | down * (below >> v & col | cbit[u]))",
+           (SEARCH + "::test_search_node_counts",),
+           TABLES + " (the column bit of u in place of v's in the below update)"),
+    Mutant(INTERVALS, "del dfs", "pass", (SEARCH + "::test_search_leaves_no_cycle",),
+           TABLES + " (dfs kept, so its tables wait for a full collection)"),
     Mutant(INTERVALS,
            "return solutions + [OrderRelationTable(ground, r) for r in mirrors[::-1][:room]]",
            "return solutions + [OrderRelationTable(ground, r) for r in mirrors[:room]]",
            (SEARCH + "::test_second_half_mirrors_first",), MIRROR + " (the mirrors not reversed)"),
     Mutant(INTERVALS, "room = None if limit is None else limit - len(solutions)", "room = None",
            (SEARCH + "::test_limits_across_the_mirror",), MIRROR + " (room ignoring limit)"),
-    Mutant(INTERVALS, "dfs(1 << a * m + b, 1 << b * m + a)", "dfs(1 << b * m + a, 1 << a * m + b)",
+    Mutant(INTERVALS, "dfs(cbit[a] << b, cbit[b] << a)", "dfs(cbit[b] << a, cbit[a] << b)",
            (SEARCH + "::test_matches_backtracking_oracle_on_subfamilies",),
            MIRROR + " (the first pair seeded as b < a)"),
+    Mutant(INTERVALS, "overlap = [le_lo[hi] & ge_hi[lo] & ~(1 << i) for i, (lo, hi) in enumerate(keys)]",
+           "overlap = [le_lo[hi] & ge_hi[lo + 1] & ~(1 << i) for i, (lo, hi) in enumerate(keys)]",
+           (SEARCH + "::test_matches_backtracking_oracle_on_full_grounds",),
+           ROWS + " (the overlap definition leaving out intervals that touch)"),
+    Mutant(INTERVALS, "return all(c1 ^ c2 == full ^ 1 << i", "return all(c1 | c2 == full",
+           (PREDICATES,), ROWS + " (are_conjugate reading as are_pseudo_conjugate)"),
+    Mutant(INTERVALS, "return all(c1 | c2 == full for c1, c2 in _comparability(t1, t2))",
+           "return any(c1 | c2 == full for c1, c2 in _comparability(t1, t2))",
+           (PREDICATES,), ROWS + " (are_pseudo_conjugate asking one element, not all)"),
+    Mutant(INTERVALS, "return [(t1.rows[i] | t1.down_rows[i], t2.rows[i] | t2.down_rows[i])",
+           "return [(t1.rows[i] | t1.down_rows[i], t2.rows[i])",
+           (PREDICATES,), ROWS + " (the second table's down rows left out)"),
+    Mutant(INTERVALS,
+           "return cls(ground, _close(_pair_rows(len(ground), generators), len(ground)), _checked=True)",
+           "return cls(ground, _close(_pair_rows(len(ground), [(b, a) for a, b in generators]), "
+           "len(ground)), _checked=True)",
+           ("tests/test_interval_orders.py::TestOrderRelationTable"
+            "::test_from_relation_matches_closure_oracle",),
+           ROWS + " (from_relation closing the reversed generators)"),
+    Mutant(CLI, "max_ground=None if args.force else CONJ_MAX_GROUND)", "max_ground=None)",
+           ("tests/test_cli.py::TestConjugateSearch::test_span_budget",),
+           ROWS + " (the CLI passing no max_ground)"),
+    Mutant(CLI, "max_ground=None if args.force else CONJ_MAX_GROUND)", "max_ground=CONJ_MAX_GROUND)",
+           ("tests/test_cli.py::TestConjugateSearch::test_force_lifts_span_budget",),
+           ROWS + " (the CLI ignoring --force)"),
 )
 
 # Runs pytest, then names the file each mutated module was loaded from.

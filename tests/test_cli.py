@@ -120,6 +120,15 @@ class TestDocumentFormat:
         assert cli.main(["rank", write(tmp_path / "self.poset", doc)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_cycle_named_by_labels(self, tmp_path, capsys):
+        # The closure names the pair by index; the document names it by label.
+        doc = "elements: a b c\na < b\nb < c\nc < a\n"
+        message = "the '<' lines form a cycle: 'a' and 'b' are each below the other"
+        with pytest.raises(InvalidDocument, match=f"^{message}$"):
+            parse_poset_document(doc)
+        assert cli.main(["rank", write(tmp_path / "cycle.poset", doc)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_unknown_name(self):
         with pytest.raises(Exception, match="unknown element"):
             parse_poset_document("elements: a b\na < c\n")

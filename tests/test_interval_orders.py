@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 import types
@@ -408,6 +409,20 @@ class TestConjugateSearch:
         for limit in (half - 1, half, half + 1, full):
             got = _orientations(ground, limit)
             assert [t.rows for t in got] == oracles.backtrack_orientations(ground, limit)
+
+    def test_search_leaves_no_cycle(self):
+        # dfs refers to itself; the search drops it on the way out, so its
+        # per-search tables are freed on return, not at a full collection.
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            for hi in range(4):
+                find_conjugates_of_strong(0, hi)
+                assert gc.collect() == 0, hi
+        finally:
+            if enabled:
+                gc.enable()
 
     @pytest.mark.parametrize("hi,nodes", [(2, 23), (3, 192), (4, 1409), (5, 10230)])
     def test_search_node_counts(self, hi, nodes):

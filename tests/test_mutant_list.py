@@ -5,13 +5,18 @@ loads the bench modules, and no mutant is run. Each entry's line must occur
 in its file exactly as many times as the entry declares (once unless it
 says otherwise), matched with indentation stripped as the script matches
 it, the occurrence it mutates must be one of them, and each test it names
-must be in a file that exists. So an edit that leaves an entry stale fails
-here, not only when the opt-in script runs.
+must name a test defined in its file: each class and function of the node
+id, its parametrize suffix dropped, is looked up in the file's syntax tree.
+So an edit that leaves an entry stale fails here, not only when the opt-in
+script runs.
 """
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -31,6 +36,31 @@ def test_every_line_occurs_as_declared():
     assert stale == []
 
 
-def test_every_named_test_file_exists():
-    missing = {t for m in load_mutants() for t in m.tests if not (ROOT / t.split("::")[0]).is_file()}
+def defined(node_id: str) -> bool:
+    """Whether the file, class and function a pytest node id names exist."""
+    path, *names = node_id.split("[")[0].split("::")
+    if not (ROOT / path).is_file():
+        return False
+    body = ast.parse((ROOT / path).read_text()).body
+    for name in names:
+        node = next((d for d in body if isinstance(d, (ast.ClassDef, ast.FunctionDef))
+                     and d.name == name), None)
+        if node is None:
+            return False
+        body = node.body
+    return True
+
+
+def test_every_named_test_is_defined():
+    missing = {t for m in load_mutants() for t in m.tests if not defined(t)}
     assert missing == set()
+
+
+@pytest.mark.parametrize("node_id", [
+    "tests/test_missing.py",
+    "tests/test_cli.py::TestMissing",
+    "tests/test_cli.py::TestConjugateSearch::test_missing",
+    "tests/test_cli.py::test_span_budget",
+])
+def test_undefined_node_ids_are_caught(node_id):
+    assert not defined(node_id)

@@ -163,8 +163,9 @@ class TestValidationProperties:
                 # The error names the first pair related both ways, i then j ascending.
                 i, j = mutual[0]
                 with pytest.raises(CycleError,
-                                   match=f"^elements {i} and {j} are mutually related$"):
+                                   match=f"^elements {i} and {j} are mutually related$") as err:
                     build()
+                assert err.value.pair == (i, j)
             else:
                 assert build().rows == pair_rows(n, closure)
 
